@@ -1,6 +1,9 @@
 package platform
 
 import (
+	"math"
+	"sort"
+	"strings"
 	"testing"
 
 	"rtopex/internal/stats"
@@ -53,22 +56,12 @@ func TestPastSchedulingPanics(t *testing.T) {
 	e := New()
 	e.At(10, func() {})
 	e.Run()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for past event")
-		}
-	}()
-	e.At(5, func() {})
+	expectPanic(t, "past event", func() { e.At(5, func() {}) })
 }
 
 func TestNegativeDelayPanics(t *testing.T) {
 	e := New()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for negative delay")
-		}
-	}()
-	e.After(-1, func() {})
+	expectPanic(t, "negative delay", func() { e.After(-1, func() {}) })
 }
 
 func TestRunUntil(t *testing.T) {
@@ -148,17 +141,184 @@ func TestDeterminismUnderRandomInsertion(t *testing.T) {
 	}
 }
 
-func BenchmarkEngineThroughput(b *testing.B) {
+// expectPanic runs fn and fails unless it panics.
+func expectPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("no panic for %s", what)
+		}
+	}()
+	fn()
+}
+
+// TestNaNTimePanics: a NaN time compares false against everything, so it
+// used to pass the past-time guard and scramble the queue's order.
+func TestNaNTimePanics(t *testing.T) {
 	e := New()
-	var fn func()
-	n := 0
-	fn = func() {
-		n++
-		if n < b.N {
-			e.After(1, fn)
+	expectPanic(t, "At(NaN)", func() { e.At(math.NaN(), func() {}) })
+	expectPanic(t, "After(NaN)", func() { e.After(math.NaN(), func() {}) })
+	e.At(10, func() {})
+	e.Run()
+	expectPanic(t, "At(NaN) after start", func() { e.At(math.NaN(), func() {}) })
+	if e.Pending() != 0 {
+		t.Fatalf("%d events queued by rejected calls", e.Pending())
+	}
+}
+
+// TestFiringOrderMatchesReferenceSort is the order contract as a property:
+// whatever mix of pre-start scheduling, scheduling from inside firing
+// events, scheduling between RunUntil calls and single Steps produced the
+// events, they fire in the order of a plain sort by (time, scheduling
+// sequence). Times are small integers so ties are the common case, and
+// zero delays put new events at the time being fired.
+func TestFiringOrderMatchesReferenceSort(t *testing.T) {
+	type rec struct {
+		at float64
+		id int
+	}
+	for seed := uint64(1); seed <= 50; seed++ {
+		r := stats.NewRNG(seed)
+		e := New()
+		var all []rec
+		var fired []int
+		var schedule func(at float64, depth int)
+		schedule = func(at float64, depth int) {
+			id := len(all)
+			all = append(all, rec{at, id})
+			e.At(at, func() {
+				if e.Now() != at {
+					t.Fatalf("seed %d: event for %v fired at %v", seed, at, e.Now())
+				}
+				fired = append(fired, id)
+				if depth < 4 {
+					for k := r.Intn(3); k > 0; k-- {
+						schedule(e.Now()+float64(r.Intn(4)), depth+1)
+					}
+				}
+			})
+		}
+		for i := 20 + r.Intn(60); i > 0; i-- {
+			schedule(float64(r.Intn(25)), 0)
+		}
+		for round := 0; round < 6; round++ {
+			switch r.Intn(3) {
+			case 0:
+				e.RunUntil(e.Now() + float64(r.Intn(6)))
+			case 1:
+				for k := r.Intn(8); k > 0; k-- {
+					e.Step()
+				}
+			}
+			for k := r.Intn(10); k > 0; k-- {
+				schedule(e.Now()+float64(r.Intn(12)), 0)
+			}
+			if want := len(all) - len(fired); e.Pending() != want {
+				t.Fatalf("seed %d: Pending %d, want %d", seed, e.Pending(), want)
+			}
+		}
+		e.Run()
+
+		sort.Slice(all, func(i, j int) bool {
+			if all[i].at != all[j].at {
+				return all[i].at < all[j].at
+			}
+			return all[i].id < all[j].id
+		})
+		if len(fired) != len(all) {
+			t.Fatalf("seed %d: fired %d of %d events", seed, len(fired), len(all))
+		}
+		for i := range all {
+			if fired[i] != all[i].id {
+				t.Fatalf("seed %d: firing %d was event %d, reference sort says %d", seed, i, fired[i], all[i].id)
+			}
 		}
 	}
-	e.After(1, fn)
-	b.ResetTimer()
+}
+
+// TestRunUntilAcrossLanes stops RunUntil at a time whose events sit in
+// both lanes: the pre-start one fires first, the in-run ones after, and
+// later events of either lane stay queued.
+func TestRunUntilAcrossLanes(t *testing.T) {
+	e := New()
+	var got []string
+	note := func(s string) func() { return func() { got = append(got, s) } }
+	e.At(10, func() {
+		got = append(got, "pre10")
+		e.At(20, note("run20"))
+		e.At(25, note("run25"))
+		e.At(40, note("run40"))
+	})
+	e.At(20, note("pre20"))
+	e.At(30, note("pre30"))
+	if e.Pending() != 3 {
+		t.Fatalf("pending before start %d, want 3", e.Pending())
+	}
+	e.RunUntil(20)
+	if want := "pre10 pre20 run20"; strings.Join(got, " ") != want {
+		t.Fatalf("fired %q, want %q", strings.Join(got, " "), want)
+	}
+	if e.Pending() != 3 || e.Now() != 20 {
+		t.Fatalf("pending %d at %v, want 3 at 20", e.Pending(), e.Now())
+	}
+	e.RunUntil(30)
+	e.At(30, note("late30")) // at the current time, after the lane drained past it
 	e.Run()
+	if want := "pre10 pre20 run20 run25 pre30 late30 run40"; strings.Join(got, " ") != want {
+		t.Fatalf("fired %q, want %q", strings.Join(got, " "), want)
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("pending after Run %d", e.Pending())
+	}
+}
+
+// TestSteadyStateAllocationFree: once the heap has grown to its working
+// size, scheduling a pre-bound func and stepping allocates nothing.
+func TestSteadyStateAllocationFree(t *testing.T) {
+	e := New()
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		e.At(float64(i), fn)
+	}
+	e.Run()
+	allocs := testing.AllocsPerRun(1000, func() {
+		e.After(3, fn)
+		e.After(1, fn)
+		e.After(2, fn)
+		for e.Step() {
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per At+Step round, want 0", allocs)
+	}
+}
+
+// BenchmarkEngineThroughput runs the event pattern of a simulation: 20 000
+// arrivals scheduled before the start in basestation-major order, each of
+// which starts a chain of four in-run events on pre-bound funcs. One op is
+// one such run on a fresh engine.
+func BenchmarkEngineThroughput(b *testing.B) {
+	const basestations, subframes, chain = 4, 5000, 4
+	var e *Engine
+	hops := 0
+	var step func()
+	step = func() {
+		hops++
+		if hops%chain != 0 {
+			e.After(150, step)
+		}
+	}
+	arrive := func() { e.After(150, step) }
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e = New()
+		for bs := 0; bs < basestations; bs++ {
+			for j := 0; j < subframes; j++ {
+				e.At(float64(1000*j+37*bs), arrive)
+			}
+		}
+		e.Run()
+	}
+	events := float64(b.N*basestations*subframes + hops)
+	b.ReportMetric(events/b.Elapsed().Seconds(), "events/s")
 }

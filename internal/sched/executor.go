@@ -1,7 +1,7 @@
 package sched
 
 import (
-	"fmt"
+	"strconv"
 
 	"rtopex/internal/trace"
 )
@@ -31,28 +31,20 @@ func serialExec(env *Env, core int, j *Job, extra float64, terminateAtDeadline b
 		env.emit(core, j, trace.EvStart, "")
 	}
 
-	// Phase actual durations: estimates plus the jitter strike.
-	phases := make([]float64, 0, 2+j.L)
-	ests := make([]float64, 0, 2+j.L)
+	// Phase i's estimate is the FFT, the demod, then one decode iteration
+	// each; its actual duration adds the jitter where it strikes.
+	n := 2 + j.L
 	perIter := j.Tasks.Decode / float64(j.L)
-	ests = append(ests, j.Tasks.FFT, j.Tasks.Demod)
-	for i := 0; i < j.L; i++ {
-		ests = append(ests, perIter)
-	}
-	strike := j.Index % len(ests)
-	for i, e := range ests {
-		a := e
-		if i == strike {
-			a += j.JitterUS
-			if a < 0 {
-				a = 0
-			}
+	strike := j.Index % n
+	for i := 0; i < n; i++ {
+		est := perIter
+		switch i {
+		case 0:
+			est = j.Tasks.FFT
+		case 1:
+			est = j.Tasks.Demod
 		}
-		phases = append(phases, a)
-	}
-
-	for i := range ests {
-		if t+ests[i] > j.Deadline {
+		if t+est > j.Deadline {
 			// Slack insufficient: drop now and free the core.
 			at := t
 			if at < start {
@@ -67,7 +59,14 @@ func serialExec(env *Env, core int, j *Job, extra float64, terminateAtDeadline b
 		if env.Trace != nil {
 			env.emitAt(t, core, j, trace.EvPhase, serialPhaseName(i))
 		}
-		t += phases[i]
+		actual := est
+		if i == strike {
+			actual += j.JitterUS
+			if actual < 0 {
+				actual = 0
+			}
+		}
+		t += actual
 		if terminateAtDeadline && t > j.Deadline {
 			if env.Trace != nil {
 				env.emitAt(j.Deadline, core, j, trace.EvFinish, outcomeDetail(OutcomeLate))
@@ -92,16 +91,23 @@ func serialExec(env *Env, core int, j *Job, extra float64, terminateAtDeadline b
 	eng.At(finish, func() { done(out, proc) })
 }
 
+// decodePhaseNames covers the iteration caps in use (the paper's Lm is 4);
+// serialPhaseName falls back to formatting beyond it.
+var decodePhaseNames = [...]string{
+	"decode0", "decode1", "decode2", "decode3", "decode4", "decode5", "decode6", "decode7",
+}
+
 // serialPhaseName labels serialExec's phase i for the trace.
 func serialPhaseName(i int) string {
-	switch i {
-	case 0:
+	switch {
+	case i == 0:
 		return "fft"
-	case 1:
+	case i == 1:
 		return "demod"
-	default:
-		return fmt.Sprintf("decode%d", i-2)
+	case i-2 < len(decodePhaseNames):
+		return decodePhaseNames[i-2]
 	}
+	return "decode" + strconv.Itoa(i-2)
 }
 
 // outcomeDetail is the trace detail string of a terminal outcome.

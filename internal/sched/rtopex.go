@@ -1,8 +1,8 @@
 package sched
 
 import (
-	"fmt"
 	"math"
+	"strconv"
 
 	"rtopex/internal/trace"
 )
@@ -43,6 +43,15 @@ type RTOPEX struct {
 
 	env   *Env
 	cores []*rcore
+
+	// planTask's candidate hosts, their free windows and Algorithm 1's
+	// counts; scratch reused across calls.
+	hosts  []*rcore
+	free   []float64
+	counts []int
+	// spare holds batches ready for reuse: released by their owner and
+	// past their completion event (see recycle).
+	spare []*migBatch
 }
 
 type rcore struct {
@@ -50,11 +59,20 @@ type rcore struct {
 	bs   int // owning basestation under the partitioned schedule
 	slot int // subframe phase: handles indices ≡ slot (mod CoresPerBS)
 
-	running  bool
-	batch    *migBatch // non-nil while hosting a migrated batch
-	pending  []*Job
-	lastFree float64
-	everUsed bool
+	running bool
+	batch   *migBatch // non-nil while hosting a migrated batch
+	pending []*Job
+
+	// A core runs one job at a time, so the running job's phase state lives
+	// here and the five continuations of a subframe are bound once in Attach
+	// rather than allocated per phase.
+	job     *Job
+	start   float64     // when the job got the core
+	strike  int         // phase the job's jitter strikes
+	at      float64     // when the scheduled continuation fires
+	batches []*migBatch // the current parallel task's migrated batches
+
+	fftLocalDone, fftJoined, demodDone, decodeLocalDone, decodeJoined func()
 }
 
 // migBatch is a set of subtasks executing on a host core on behalf of a
@@ -68,14 +86,9 @@ type migBatch struct {
 	start       float64
 	preemptedAt float64 // < 0 when not preempted
 	released    bool    // owner consumed or abandoned the batch
+	ended       bool    // the natural-completion event has fired
+	complete    func()  // that event, bound when the batch is first allocated
 }
-
-// debugLate, when set, observes late decode completions (test hook).
-var debugLate func(j *Job, decodeStart, localTime, finish float64)
-
-// DebugLate installs a test/diagnostic hook observing late decode
-// completions under RT-OPEX.
-func DebugLate(fn func(j *Job, decodeStart, localTime, finish float64)) { debugLate = fn }
 
 // NewRTOPEX creates an RT-OPEX scheduler with the paper's defaults.
 func NewRTOPEX(coresPerBS int) *RTOPEX {
@@ -98,7 +111,19 @@ func (r *RTOPEX) Attach(env *Env) {
 	r.env = env
 	r.cores = make([]*rcore, env.Cores)
 	for i := range r.cores {
-		r.cores[i] = &rcore{id: i, bs: i / r.CoresPerBS, slot: i % r.CoresPerBS}
+		c := &rcore{id: i, bs: i / r.CoresPerBS, slot: i % r.CoresPerBS}
+		c.fftLocalDone = func() {
+			c.at = r.join(c.at, c.job.FFTSubtaskUS, c.batches)
+			env.Eng.At(c.at, c.fftJoined)
+		}
+		c.fftJoined = func() { r.phaseDemod(c, c.at) }
+		c.demodDone = func() { r.phaseDecode(c, c.at) }
+		c.decodeLocalDone = func() {
+			c.at = r.join(c.at, c.job.DecodeSubtaskUS, c.batches)
+			env.Eng.At(c.at, c.decodeJoined)
+		}
+		c.decodeJoined = func() { r.finishDecode(c, c.at) }
+		r.cores[i] = c
 	}
 }
 
@@ -126,90 +151,89 @@ func (r *RTOPEX) OnArrival(j *Job) {
 }
 
 func (r *RTOPEX) startJob(c *rcore, j *Job) {
-	c.running = true
-	c.everUsed = true
 	now := r.env.Eng.Now()
-	r.env.emit(c.id, j, trace.EvStart, "")
-
+	c.running = true
+	c.job, c.start = j, now
 	// Jitter strike phase: same per-job placement rule as serialExec so
 	// workloads are comparable across schedulers.
-	strike := j.Index % (2 + j.L)
-
-	r.phaseFFT(c, j, now, now, strike)
+	c.strike = j.Index % (2 + j.L)
+	r.env.emit(c.id, j, trace.EvStart, "")
+	r.phaseFFT(c, now)
 }
 
 // phaseFFT runs the FFT task, migrating subtasks if enabled.
-func (r *RTOPEX) phaseFFT(c *rcore, j *Job, start, now float64, strike int) {
+func (r *RTOPEX) phaseFFT(c *rcore, now float64) {
+	j := c.job
 	r.env.emit(c.id, j, trace.EvPhase, "fft")
 	r.env.M.FFTSubtasksTotal += j.FFTSubtasks
-	local, batches := r.planTask(c, j, now, j.FFTSubtasks, j.FFTSubtaskUS, r.MigrateFFT, false)
+	local := r.planTask(c, now, j.FFTSubtasks, j.FFTSubtaskUS, r.MigrateFFT, false)
 	localTime := float64(local) * j.FFTSubtaskUS
 	if now+localTime > j.Deadline {
-		r.abandon(batches, now)
+		r.abandon(c.batches, now)
 		r.env.emit(c.id, j, trace.EvDrop, "fft")
-		r.finishJob(c, j, OutcomeDropped, -1, now)
+		r.finishJob(c, OutcomeDropped, -1, now)
 		return
 	}
-	r.env.M.FFTSubtasksMigrated += migratedCount(batches)
-	if strike == 0 {
+	r.env.M.FFTSubtasksMigrated += migratedCount(c.batches)
+	if c.strike == 0 {
 		localTime = math.Max(0, localTime+j.JitterUS)
 	}
-	r.env.Eng.At(now+localTime, func() {
-		joinAt := r.join(now+localTime, j.FFTSubtaskUS, batches)
-		r.env.Eng.At(joinAt, func() { r.phaseDemod(c, j, start, joinAt, strike) })
-	})
+	c.at = now + localTime
+	r.env.Eng.At(c.at, c.fftLocalDone)
 }
 
 // phaseDemod runs the (serial) demod task.
-func (r *RTOPEX) phaseDemod(c *rcore, j *Job, start, now float64, strike int) {
+func (r *RTOPEX) phaseDemod(c *rcore, now float64) {
+	j := c.job
 	if now+j.Tasks.Demod > j.Deadline {
 		r.env.emit(c.id, j, trace.EvDrop, "demod")
-		r.finishJob(c, j, OutcomeDropped, -1, now)
+		r.finishJob(c, OutcomeDropped, -1, now)
 		return
 	}
 	r.env.emit(c.id, j, trace.EvPhase, "demod")
 	actual := j.Tasks.Demod
-	if strike == 1 {
+	if c.strike == 1 {
 		actual = math.Max(0, actual+j.JitterUS)
 	}
-	r.env.Eng.At(now+actual, func() { r.phaseDecode(c, j, start, now+actual, strike) })
+	c.at = now + actual
+	r.env.Eng.At(c.at, c.demodDone)
 }
 
 // phaseDecode runs the decode task, migrating code blocks if enabled.
-func (r *RTOPEX) phaseDecode(c *rcore, j *Job, start, now float64, strike int) {
+func (r *RTOPEX) phaseDecode(c *rcore, now float64) {
+	j := c.job
 	r.env.emit(c.id, j, trace.EvPhase, "decode")
 	r.env.M.DecodeSubtasksTotal += j.DecodeSubtasks
-	local, batches := r.planTask(c, j, now, j.DecodeSubtasks, j.DecodeSubtaskUS, r.MigrateDecode, true)
+	local := r.planTask(c, now, j.DecodeSubtasks, j.DecodeSubtaskUS, r.MigrateDecode, true)
 	localTime := float64(local) * j.DecodeSubtaskUS
 	if now+localTime > j.Deadline {
-		r.abandon(batches, now)
+		r.abandon(c.batches, now)
 		r.env.emit(c.id, j, trace.EvDrop, "decode")
-		r.finishJob(c, j, OutcomeDropped, -1, now)
+		r.finishJob(c, OutcomeDropped, -1, now)
 		return
 	}
-	r.env.M.DecodeSubtasksMigrated += migratedCount(batches)
-	if strike >= 2 {
+	r.env.M.DecodeSubtasksMigrated += migratedCount(c.batches)
+	if c.strike >= 2 {
 		localTime = math.Max(0, localTime+j.JitterUS)
 	}
-	r.env.Eng.At(now+localTime, func() {
-		finish := r.join(now+localTime, j.DecodeSubtaskUS, batches)
-		r.env.Eng.At(finish, func() {
-			out := OutcomeACK
-			switch {
-			case finish > j.Deadline:
-				out = OutcomeLate
-				if debugLate != nil {
-					debugLate(j, now, localTime, finish)
-				}
-			case !j.Decodable:
-				out = OutcomeDecodeFail
-			}
-			r.finishJob(c, j, out, finish-start, finish)
-		})
-	})
+	c.at = now + localTime
+	r.env.Eng.At(c.at, c.decodeLocalDone)
 }
 
-func (r *RTOPEX) finishJob(c *rcore, j *Job, out Outcome, proc float64, at float64) {
+// finishDecode completes the job once its decode task has joined at finish.
+func (r *RTOPEX) finishDecode(c *rcore, finish float64) {
+	out := OutcomeACK
+	switch {
+	case finish > c.job.Deadline:
+		out = OutcomeLate
+	case !c.job.Decodable:
+		out = OutcomeDecodeFail
+	}
+	r.finishJob(c, out, finish-c.start, finish)
+}
+
+func (r *RTOPEX) finishJob(c *rcore, out Outcome, proc float64, at float64) {
+	j := c.job
 	r.env.M.Record(j, out, proc)
 	r.env.M.RecordGap(j, out, at)
 	if out != OutcomeDropped {
@@ -217,7 +241,6 @@ func (r *RTOPEX) finishJob(c *rcore, j *Job, out Outcome, proc float64, at float
 		r.env.emitAt(at, c.id, j, trace.EvFinish, outcomeDetail(out))
 	}
 	c.running = false
-	c.lastFree = at
 	if len(c.pending) > 0 {
 		next := c.pending[0]
 		c.pending = c.pending[1:]
@@ -226,13 +249,15 @@ func (r *RTOPEX) finishJob(c *rcore, j *Job, out Outcome, proc float64, at float
 }
 
 // planTask applies Algorithm 1 across currently idle cores and installs the
-// migrated batches. It returns the number of subtasks kept local.
-func (r *RTOPEX) planTask(c *rcore, j *Job, now float64, subtasks int, tp float64, enabled bool, decode bool) (int, []*migBatch) {
+// migrated batches in c.batches. It returns the number of subtasks kept
+// local.
+func (r *RTOPEX) planTask(c *rcore, now float64, subtasks int, tp float64, enabled bool, decode bool) int {
+	c.batches = c.batches[:0]
 	if !enabled || subtasks <= 1 || tp <= 0 {
-		return subtasks, nil
+		return subtasks
 	}
-	var hosts []*rcore
-	var free []float64
+	j := c.job
+	hosts, free := r.hosts[:0], r.free[:0]
 	for _, k := range r.cores {
 		if k == c || k.running || k.batch != nil {
 			continue
@@ -247,20 +272,22 @@ func (r *RTOPEX) planTask(c *rcore, j *Job, now float64, subtasks int, tp float6
 		hosts = append(hosts, k)
 		free = append(free, fck)
 	}
+	r.hosts, r.free = hosts, free
 	if len(hosts) == 0 {
-		return subtasks, nil
+		return subtasks
 	}
-	counts := Algorithm1(subtasks, tp, r.DeltaUS, r.PerSubtaskDelta, r.GreedyAll, free)
+	r.counts = algorithm1Into(r.counts, subtasks, tp, r.DeltaUS, r.PerSubtaskDelta, r.GreedyAll, free)
 	local := subtasks
-	var batches []*migBatch
-	for i, n := range counts {
+	for i, n := range r.counts {
 		if n <= 0 {
 			continue
 		}
-		b := &migBatch{host: hosts[i], owner: j, decode: decode, count: n, tp: tp, start: now, preemptedAt: -1}
+		b := r.newBatch()
+		b.host, b.owner, b.decode, b.count, b.tp, b.start = hosts[i], j, decode, n, tp, now
+		b.preemptedAt, b.released, b.ended = -1, false, false
 		hosts[i].batch = b
 		local -= n
-		batches = append(batches, b)
+		c.batches = append(c.batches, b)
 		r.env.M.MigrationBatches++
 		if decode {
 			r.env.M.DecodeBatches++
@@ -268,19 +295,43 @@ func (r *RTOPEX) planTask(c *rcore, j *Job, now float64, subtasks int, tp float6
 			r.env.M.FFTBatches++
 		}
 		if r.env.Trace != nil {
-			r.env.emit(b.host.id, j, trace.EvMigPlan, fmt.Sprintf("%s n=%d", taskName(decode), n))
+			r.env.emit(b.host.id, j, trace.EvMigPlan, countDetail(planPrefix(decode), n, ""))
 		}
-		// Natural completion releases the host (state 2 → state 1).
-		end := r.batchEnd(b)
-		r.env.Eng.At(end, func() {
-			if b.host.batch == b && b.preemptedAt < 0 {
-				b.host.batch = nil
-				b.host.lastFree = r.env.Eng.Now()
-				r.env.emit(b.host.id, b.owner, trace.EvMigComplete, "")
-			}
-		})
+		r.env.Eng.At(r.batchEnd(b), b.complete)
 	}
-	return local, batches
+	return local
+}
+
+// newBatch takes a batch from the spare list or allocates one, binding its
+// completion event once.
+func (r *RTOPEX) newBatch() *migBatch {
+	if n := len(r.spare); n > 0 {
+		b := r.spare[n-1]
+		r.spare = r.spare[:n-1]
+		return b
+	}
+	b := &migBatch{}
+	b.complete = func() {
+		// Natural completion releases the host (state 2 → state 1).
+		if b.host.batch == b && b.preemptedAt < 0 {
+			b.host.batch = nil
+			r.env.emit(b.host.id, b.owner, trace.EvMigComplete, "")
+		}
+		b.ended = true
+		r.recycle(b)
+	}
+	return b
+}
+
+// recycle makes b reusable once nothing refers to it any more: its owner
+// has released it and its completion event has fired. Either can come
+// first — a preempted or abandoned batch is released before its event, a
+// consumed one after — and reusing a batch whose event is still queued
+// would let that stale event release the next tenant's host.
+func (r *RTOPEX) recycle(b *migBatch) {
+	if b.released && b.ended {
+		r.spare = append(r.spare, b)
+	}
 }
 
 // batchEnd is the natural completion time of a batch on its host.
@@ -317,7 +368,6 @@ func (r *RTOPEX) join(localFinish, tp float64, batches []*migBatch) float64 {
 	finish := localFinish
 	var recovery float64
 	for _, b := range batches {
-		b.released = true
 		switch {
 		case b.preemptedAt >= 0:
 			// Result not ready: host was preempted (state 6 recovery).
@@ -327,7 +377,7 @@ func (r *RTOPEX) join(localFinish, tp float64, batches []*migBatch) float64 {
 				r.env.M.Recoveries++
 				if r.env.Trace != nil {
 					r.env.emitAt(localFinish, b.host.id, b.owner, trace.EvMigRecompute,
-						fmt.Sprintf("n=%d preempted", unfinished))
+						countDetail("n=", unfinished, " preempted"))
 				}
 			} else {
 				// Preempted after every subtask finished: results usable.
@@ -349,23 +399,25 @@ func (r *RTOPEX) join(localFinish, tp float64, batches []*migBatch) float64 {
 				r.env.M.Recoveries++
 				if r.env.Trace != nil {
 					r.env.emitAt(localFinish, b.host.id, b.owner, trace.EvMigRecompute,
-						fmt.Sprintf("n=%d slow", unfinished))
+						countDetail("n=", unfinished, " slow"))
 				}
 				// Host abandons the rest of the batch immediately.
 				if b.host.batch == b {
 					b.host.batch = nil
-					b.host.lastFree = localFinish
 				}
 			} else {
 				if r.env.Trace != nil {
-					r.env.emitAt(localFinish, b.host.id, b.owner, trace.EvMigWait,
-						fmt.Sprintf("%.3gus", wait))
+					var buf [32]byte
+					d := append(strconv.AppendFloat(buf[:0], wait, 'g', 3, 64), "us"...)
+					r.env.emitAt(localFinish, b.host.id, b.owner, trace.EvMigWait, string(d))
 				}
 				if end > finish {
 					finish = end
 				}
 			}
 		}
+		b.released = true
+		r.recycle(b)
 	}
 	return finish + recovery
 }
@@ -376,7 +428,6 @@ func (r *RTOPEX) join(localFinish, tp float64, batches []*migBatch) float64 {
 // migration fractions of Fig. 16 with work that was thrown away.
 func (r *RTOPEX) abandon(batches []*migBatch, now float64) {
 	for _, b := range batches {
-		b.released = true
 		r.env.M.MigrationBatches--
 		if b.decode {
 			r.env.M.DecodeBatches--
@@ -386,8 +437,9 @@ func (r *RTOPEX) abandon(batches []*migBatch, now float64) {
 		r.env.emitAt(now, b.host.id, b.owner, trace.EvMigAbandon, "")
 		if b.host.batch == b && b.preemptedAt < 0 {
 			b.host.batch = nil
-			b.host.lastFree = now
 		}
+		b.released = true
+		r.recycle(b)
 	}
 }
 
@@ -419,12 +471,20 @@ func (r *RTOPEX) predictedNextPreemption(k *rcore, now float64) float64 {
 	return t
 }
 
-// taskName labels a batch's task type for the trace.
-func taskName(decode bool) string {
+// planPrefix opens a planned batch's trace detail with its task type.
+func planPrefix(decode bool) string {
 	if decode {
-		return "decode"
+		return "decode n="
 	}
-	return "fft"
+	return "fft n="
+}
+
+// countDetail renders prefix, n, suffix as one trace detail string.
+func countDetail(prefix string, n int, suffix string) string {
+	var buf [32]byte
+	d := append(buf[:0], prefix...)
+	d = strconv.AppendInt(d, int64(n), 10)
+	return string(append(d, suffix...))
 }
 
 func migratedCount(batches []*migBatch) int {
@@ -452,7 +512,17 @@ func (r *RTOPEX) Finalize() {}
 // limoff (the listing's ⌊fck/(tp+δ)⌋); otherwise δ is charged once per
 // batch.
 func Algorithm1(p int, tp, delta float64, perSubtaskDelta, greedy bool, free []float64) []int {
-	counts := make([]int, len(free))
+	return algorithm1Into(nil, p, tp, delta, perSubtaskDelta, greedy, free)
+}
+
+// algorithm1Into is Algorithm1 writing its counts into dst's backing array
+// when that is large enough for one count per window.
+func algorithm1Into(dst []int, p int, tp, delta float64, perSubtaskDelta, greedy bool, free []float64) []int {
+	if cap(dst) < len(free) {
+		dst = make([]int, len(free))
+	}
+	counts := dst[:len(free)]
+	clear(counts)
 	if p <= 1 || tp <= 0 {
 		return counts
 	}
