@@ -17,7 +17,6 @@ import (
 	"rtopex/internal/channel"
 	"rtopex/internal/phy"
 	"rtopex/internal/stats"
-	"rtopex/internal/turbo"
 )
 
 // benchOpts keeps per-iteration work bounded while preserving each
@@ -110,23 +109,15 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 // benchSubframe builds the canonical MCS-27, 2-antenna, 30 dB subframe the
 // PHY benchmarks decode (same seeds as the original BenchmarkPHYEndToEnd).
 func benchSubframe(b *testing.B) (*phy.Receiver, [][]complex128, float64) {
-	return benchSubframeAt(b, turbo.PathQuantized, 30)
+	return benchSubframeAt(b, 30)
 }
 
-// benchSubframeAt is benchSubframe with the decode arithmetic and SNR under
-// the caller's control (the decode-path benchmarks run at a moderate SNR so
-// the CRC check doesn't trivially pass before the trellis works).
-func benchSubframeAt(b *testing.B, path turbo.Path, snrDB float64) (*phy.Receiver, [][]complex128, float64) {
-	return benchSubframeCfg(b, snrDB, func(cfg *PHYConfig) { cfg.DecoderPath = path })
-}
-
-// benchSubframeCfg builds the canonical subframe with arbitrary receiver
-// decode knobs applied (the transmitter ignores them, so every variant
-// decodes the same IQ).
-func benchSubframeCfg(b *testing.B, snrDB float64, tweak func(*PHYConfig)) (*phy.Receiver, [][]complex128, float64) {
+// benchSubframeAt is benchSubframe with the SNR under the caller's control
+// (BenchmarkPHYDecodeQuant runs at a moderate SNR so the CRC check doesn't
+// trivially pass before the trellis works).
+func benchSubframeAt(b *testing.B, snrDB float64) (*phy.Receiver, [][]complex128, float64) {
 	b.Helper()
 	cfg := PHYConfig{Bandwidth: BW10MHz, MCS: 27, Antennas: 2, RNTI: 1, CellID: 1}
-	tweak(&cfg)
 	tx, err := NewTransmitter(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -207,45 +198,11 @@ func BenchmarkPHYFFT(b *testing.B)    { benchStage(b, phy.TaskFFT) }
 func BenchmarkPHYDemod(b *testing.B)  { benchStage(b, phy.TaskDemod) }
 func BenchmarkPHYDecode(b *testing.B) { benchStage(b, phy.TaskDecode) }
 
-// BenchmarkPHYDecodeQuant / BenchmarkPHYDecodeFloat isolate the turbo decode
-// stage under the two arithmetics at a moderate 24 dB SNR, where the CRC
-// check can't accept the raw hard decisions and the trellis must run. The
-// int16 quantized path (the default) must beat the float64 reference — the
-// phy-speedup gate asserts the ratio.
+// BenchmarkPHYDecodeQuant isolates the turbo decode stage at a moderate 24 dB
+// SNR, where the CRC check can't accept the raw hard decisions and the
+// trellis must run.
 func BenchmarkPHYDecodeQuant(b *testing.B) {
-	rx, iq, n0 := benchSubframeAt(b, turbo.PathQuantized, 24)
-	benchStageOn(b, rx, iq, n0, phy.TaskDecode)
-}
-
-func BenchmarkPHYDecodeFloat(b *testing.B) {
-	rx, iq, n0 := benchSubframeAt(b, turbo.PathFloat64, 24)
-	benchStageOn(b, rx, iq, n0, phy.TaskDecode)
-}
-
-// BenchmarkPHYDecodeRadix4 / BenchmarkPHYDecodeRadix2 pin the fused-stepper
-// gain at the same 24 dB operating point: the radix-4 row steps the int16
-// trellis two stages per sweep through the AVX2 kernels (the default), the
-// radix-2 row forces the scalar single-stage reference. Outputs are
-// bit-identical; only the stepping differs. phy-speedup asserts radix-4 is
-// never slower — on hardware without the kernels both rows run the same
-// scalar code and tie.
-func BenchmarkPHYDecodeRadix4(b *testing.B) {
-	rx, iq, n0 := benchSubframeCfg(b, 24, func(cfg *PHYConfig) {})
-	benchStageOn(b, rx, iq, n0, phy.TaskDecode)
-}
-
-func BenchmarkPHYDecodeRadix2(b *testing.B) {
-	rx, iq, n0 := benchSubframeCfg(b, 24, func(cfg *PHYConfig) { cfg.DecoderRadix = turbo.Radix2 })
-	benchStageOn(b, rx, iq, n0, phy.TaskDecode)
-}
-
-// BenchmarkPHYDecodeBatched decodes the six MCS-27 code blocks as one
-// turbo.Batch (DecodeBatch ≥ C collapses the decode stage to a single
-// batched subtask) — the paired single-block baseline is
-// BenchmarkPHYDecodeRadix4, which runs the identical trellis work one block
-// at a time. phy-speedup asserts batching is never slower than single-block.
-func BenchmarkPHYDecodeBatched(b *testing.B) {
-	rx, iq, n0 := benchSubframeCfg(b, 24, func(cfg *PHYConfig) { cfg.DecodeBatch = 64 })
+	rx, iq, n0 := benchSubframeAt(b, 24)
 	benchStageOn(b, rx, iq, n0, phy.TaskDecode)
 }
 

@@ -6,12 +6,14 @@
 //
 // Usage:
 //
-//	phyprof [-trials 3] [-antennas 1,2] [-snrs 10,20,30] [-seed 1] [-workers 1] [-decoder quant|float]
+//	phyprof [-trials 3] [-antennas 1,2] [-snrs 10,20,30] [-seed 1] [-mcs-step 3] [-workers 1]
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -23,38 +25,40 @@ import (
 	"rtopex/internal/model"
 	"rtopex/internal/phy"
 	"rtopex/internal/stats"
-	"rtopex/internal/turbo"
 )
 
 func main() {
-	var (
-		trials  = flag.Int("trials", 3, "subframes per (MCS, SNR, N) cell")
-		antList = flag.String("antennas", "1,2", "comma-separated antenna counts")
-		snrList = flag.String("snrs", "10,20,30", "comma-separated SNRs (dB)")
-		seed    = flag.Uint64("seed", 1, "random seed")
-		mcsStep = flag.Int("mcs-step", 3, "MCS sweep step (1 = all 28)")
-		workers = flag.Int("workers", 1, "subtask workers for the parallel fast path (≤1 = serial)")
-		decoder = flag.String("decoder", "quant", "turbo decode arithmetic: quant (int16 fast path) or float (float64 reference)")
-	)
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if !errors.Is(err, flag.ErrHelp) {
+			fmt.Fprintf(os.Stderr, "phyprof: %v\n", err)
+		}
+		os.Exit(1)
+	}
+}
 
-	var path turbo.Path
-	switch *decoder {
-	case "quant":
-		path = turbo.PathQuantized
-	case "float":
-		path = turbo.PathFloat64
-	default:
-		fatal(fmt.Errorf("unknown -decoder %q (want quant or float)", *decoder))
+// run is the whole command behind main: it parses args, profiles the chain
+// and prints the fit to out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("phyprof", flag.ContinueOnError)
+	var (
+		trials  = fs.Int("trials", 3, "subframes per (MCS, SNR, N) cell")
+		antList = fs.String("antennas", "1,2", "comma-separated antenna counts")
+		snrList = fs.String("snrs", "10,20,30", "comma-separated SNRs (dB)")
+		seed    = fs.Uint64("seed", 1, "random seed")
+		mcsStep = fs.Int("mcs-step", 3, "MCS sweep step (1 = all 28)")
+		workers = fs.Int("workers", 1, "subtask workers for the parallel fast path (≤1 = serial)")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
 
 	ants, err := parseInts(*antList)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	snrs, err := parseFloats(*snrList)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	r := stats.NewRNG(*seed)
@@ -65,14 +69,14 @@ func main() {
 	}
 	arena := phy.NewArena()
 	var obs []model.Observation
-	fmt.Println("profiling Go PHY (this runs the full turbo decoder; expect minutes at scale)...")
+	fmt.Fprintln(out, "profiling Go PHY (this runs the full turbo decoder; expect minutes at scale)...")
 	for _, n := range ants {
 		for mcs := 0; mcs <= lte.MaxMCS; mcs += *mcsStep {
 			for _, snr := range snrs {
 				for trial := 0; trial < *trials; trial++ {
-					o, err := measureOne(r, arena, pool, mcs, n, snr, path)
+					o, err := measureOne(r, arena, pool, mcs, n, snr)
 					if err != nil {
-						fatal(err)
+						return err
 					}
 					obs = append(obs, o)
 				}
@@ -82,30 +86,29 @@ func main() {
 
 	params, r2, err := model.Fit(obs)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("\nmeasurements: %d\n", len(obs))
-	fmt.Printf("%-18s %8s %8s %8s %8s %8s\n", "source", "w0", "w1", "w2", "w3", "r2")
-	fmt.Printf("%-18s %8.1f %8.1f %8.1f %8.1f %8.3f\n", "paper (Table 1)",
+	fmt.Fprintf(out, "\nmeasurements: %d\n", len(obs))
+	fmt.Fprintf(out, "%-18s %8s %8s %8s %8s %8s\n", "source", "w0", "w1", "w2", "w3", "r2")
+	fmt.Fprintf(out, "%-18s %8.1f %8.1f %8.1f %8.1f %8.3f\n", "paper (Table 1)",
 		model.PaperGPP.W0, model.PaperGPP.W1, model.PaperGPP.W2, model.PaperGPP.W3, 0.992)
-	fmt.Printf("%-18s %8.1f %8.1f %8.1f %8.1f %8.3f\n", "go-phy (measured)",
+	fmt.Fprintf(out, "%-18s %8.1f %8.1f %8.1f %8.1f %8.3f\n", "go-phy (measured)",
 		params.W0, params.W1, params.W2, params.W3, r2)
-	fmt.Println("\nnote: w-units are µs; the Go chain is unvectorized, so absolute values exceed")
-	fmt.Println("the paper's. The linearity in N, K and D·L is the property under test.")
+	fmt.Fprintln(out, "\nnote: w-units are µs. The linearity in N, K and D·L is the property under test.")
+	return nil
 }
 
 // measureOne runs one full subframe through transmit → channel → receive
 // and returns the observation for the model fit. Receivers are borrowed
 // from the arena (so repeated cells reuse warmed scratch) and, when a pool
 // is given, the pipeline stages fan out across its workers.
-func measureOne(r *stats.RNG, arena *phy.Arena, pool *phy.Pool, mcs, antennas int, snrDB float64, path turbo.Path) (model.Observation, error) {
+func measureOne(r *stats.RNG, arena *phy.Arena, pool *phy.Pool, mcs, antennas int, snrDB float64) (model.Observation, error) {
 	cfg := phy.Config{
-		Bandwidth:   lte.BW10MHz,
-		MCS:         mcs,
-		Antennas:    antennas,
-		RNTI:        0x2002,
-		CellID:      11,
-		DecoderPath: path,
+		Bandwidth: lte.BW10MHz,
+		MCS:       mcs,
+		Antennas:  antennas,
+		RNTI:      0x2002,
+		CellID:    11,
 	}
 	tx, err := phy.NewTransmitter(cfg)
 	if err != nil {
@@ -175,9 +178,4 @@ func parseFloats(s string) ([]float64, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "phyprof: %v\n", err)
-	os.Exit(1)
 }

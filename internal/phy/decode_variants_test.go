@@ -3,133 +3,8 @@ package phy
 import (
 	"testing"
 
-	"rtopex/internal/bits"
-	"rtopex/internal/channel"
 	"rtopex/internal/stats"
-	"rtopex/internal/turbo"
 )
-
-// TestDecodeVariantsBitIdentical drives the full receive chain once per
-// (MCS, SNR) cell and decodes the same IQ under every decode configuration
-// the PR adds — radix-2 scalar, radix-4 fused, per-block and batched in two
-// group sizes. All variants must report identical transport-block verdicts,
-// per-block CRC outcomes and iteration counts: the stepping and the
-// batching change only the schedule, never the arithmetic. The low-SNR
-// cells make some blocks fail and others terminate at different iteration
-// counts, so the comparison also covers per-block dropout inside a batch.
-func TestDecodeVariantsBitIdentical(t *testing.T) {
-	type variant struct {
-		name  string
-		tweak func(*Config)
-	}
-	variants := []variant{
-		{"radix4-per-block", func(c *Config) {}},
-		{"radix2-per-block", func(c *Config) { c.DecoderRadix = turbo.Radix2 }},
-		{"radix4-batch-all", func(c *Config) { c.DecodeBatch = 64 }},
-		{"radix4-batch-2", func(c *Config) { c.DecodeBatch = 2 }},
-		{"radix2-batch-all", func(c *Config) { c.DecoderRadix = turbo.Radix2; c.DecodeBatch = 64 }},
-	}
-	for _, mcs := range []int{0, 13, 27} {
-		for _, snr := range []float64{30, 3} {
-			base := testConfig(mcs, 2)
-			tx, err := NewTransmitter(base)
-			if err != nil {
-				t.Fatal(err)
-			}
-			payload := randomPayload(t, tx, uint64(1000+mcs))
-			wave, err := tx.Transmit(payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ch, err := channel.New(snr, base.Antennas, uint64(7+mcs))
-			if err != nil {
-				t.Fatal(err)
-			}
-			iq, _ := ch.Apply(wave)
-
-			var ref Result
-			var refName string
-			for vi, v := range variants {
-				cfg := base
-				v.tweak(&cfg)
-				rx, err := NewReceiver(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := rx.Process(iq, ch.N0())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if vi == 0 {
-					// Deep-copy: Result aliases receiver scratch.
-					ref = res
-					ref.Payload = append([]byte(nil), res.Payload...)
-					ref.BlockOK = append([]bool(nil), res.BlockOK...)
-					ref.BlockIterations = append([]int(nil), res.BlockIterations...)
-					refName = v.name
-					continue
-				}
-				if res.OK != ref.OK || res.Iterations != ref.Iterations {
-					t.Fatalf("MCS=%d SNR=%v %s: (OK=%v it=%d) vs %s (OK=%v it=%d)",
-						mcs, snr, v.name, res.OK, res.Iterations, refName, ref.OK, ref.Iterations)
-				}
-				for r := range ref.BlockOK {
-					if res.BlockOK[r] != ref.BlockOK[r] || res.BlockIterations[r] != ref.BlockIterations[r] {
-						t.Fatalf("MCS=%d SNR=%v %s block %d: (ok=%v it=%d) vs %s (ok=%v it=%d)",
-							mcs, snr, v.name, r, res.BlockOK[r], res.BlockIterations[r],
-							refName, ref.BlockOK[r], ref.BlockIterations[r])
-					}
-				}
-				if ref.OK {
-					if d := bits.HammingDistance(res.Payload, ref.Payload); d != 0 {
-						t.Fatalf("MCS=%d SNR=%v %s: payload differs from %s in %d bits",
-							mcs, snr, v.name, refName, d)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestBatchedDecodeStageShape: DecodeBatch regroups only the decode stage —
-// group boundaries partition the blocks, and a batched receiver stays
-// allocation-free in steady state like the per-block one.
-func TestBatchedDecodeStageShape(t *testing.T) {
-	cfg := testConfig(27, 2) // C = 6 blocks
-	cfg.DecodeBatch = 4      // groups of 4 and 2
-	rx, err := NewReceiver(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx, _ := NewTransmitter(cfg)
-	payload := randomPayload(t, tx, 3)
-	wave, _ := tx.Transmit(payload)
-	ch, _ := channel.New(30, 2, 5)
-	iq, _ := ch.Apply(wave)
-	stages, err := rx.Pipeline(iq, ch.N0())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, st := range stages {
-		if st.Name == TaskDecode {
-			if got := len(st.Subtasks); got != 2 {
-				t.Fatalf("decode stage has %d subtasks with DecodeBatch=4 over 6 blocks, want 2", got)
-			}
-		}
-	}
-	if res, err := rx.Process(iq, ch.N0()); err != nil || !res.OK {
-		t.Fatalf("batched decode failed: res.OK=%v err=%v", res.OK, err)
-	}
-	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := rx.Process(iq, ch.N0()); err != nil {
-			t.Fatal(err)
-		}
-		rx.Result()
-	})
-	if allocs > 0 {
-		t.Fatalf("batched receiver allocates %.1f objects per subframe, want 0", allocs)
-	}
-}
 
 // TestDescrambleSigns pins the ±1 descrambling representation against the
 // generating sequence: an LLR passes through unchanged where the scrambler

@@ -231,7 +231,6 @@ func NewDLReceiver(cfg Config) (*DLReceiver, error) {
 			return nil, err
 		}
 		dec.MaxIterations = cfg.maxIter()
-		dec.Path = cfg.DecoderPath
 		dec.PrecheckRaw = rm.CoversSystematic(layout.es[i], 0)
 		rx.rms = append(rx.rms, rm)
 		rx.decoders = append(rx.decoders, dec)

@@ -38,31 +38,6 @@ type Config struct {
 	// MaxIterations is the turbo decoder's iteration cap (the paper's Lm,
 	// default 4 when zero).
 	MaxIterations int
-	// DecoderPath selects the turbo decode arithmetic: the int16 quantized
-	// fast path (zero value, the default) or turbo.PathFloat64 for the
-	// float64 reference.
-	DecoderPath turbo.Path
-	// DecoderRadix selects the quantized trellis stepping: radix-4 fused
-	// SIMD stepping (zero value, the default) or turbo.Radix2 for the
-	// scalar reference. Outputs are bit-identical either way.
-	DecoderRadix turbo.Radix
-	// DecodeCheckCadence is the turbo decoder's CRC early-termination
-	// cadence: run the check every Nth half-iteration instead of every one.
-	// 0 (and 1) keep the measured optimum for the int16 path — a CRC pass
-	// costs ~1% of a constituent pass there, so checking every half
-	// iteration is essentially free and terminates earliest. The knob
-	// exists for profiling the trade on other hardware.
-	DecodeCheckCadence int
-	// DecodeBatch groups this many code blocks into each decode subtask,
-	// decoded together through turbo.Batch under a shared half-iteration
-	// schedule (kernel tables stay hot across blocks). 0 or 1 keeps the
-	// one-subtask-per-block layout; values ≥ C collapse decode to a single
-	// batched subtask. Results are bit-identical to per-block decoding —
-	// only the grouping (and so the available decode-stage parallelism)
-	// changes. Serial consumers (Pipeliner lanes, Process) want all blocks
-	// in one batch; a Pool splitting decode across workers wants groups
-	// sized near C/workers.
-	DecodeBatch int
 }
 
 func (c Config) maxIter() int {
@@ -84,12 +59,6 @@ func (c Config) validate() error {
 	}
 	if c.MCS > lte.MaxMCS {
 		return fmt.Errorf("phy: MCS %d above supported maximum %d", c.MCS, lte.MaxMCS)
-	}
-	if !c.DecoderPath.Valid() {
-		return fmt.Errorf("phy: unknown decoder path %v", c.DecoderPath)
-	}
-	if c.DecodeBatch < 0 {
-		return fmt.Errorf("phy: negative DecodeBatch %d", c.DecodeBatch)
 	}
 	return nil
 }

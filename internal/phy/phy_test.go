@@ -156,11 +156,14 @@ func TestPipelineSubtaskCounts(t *testing.T) {
 	if len(stages) != 4 {
 		t.Fatalf("%d stages, want 4", len(stages))
 	}
+	if c := rx.CodeBlocks(); c != 6 {
+		t.Fatalf("MCS 27 segments into %d code blocks, want 6", c)
+	}
 	wants := map[TaskName]int{
 		TaskFFT:    2 * 14, // antennas × symbols
 		TaskChEst:  2,
 		TaskDemod:  12,
-		TaskDecode: 6,
+		TaskDecode: rx.CodeBlocks(), // one per block: the unit Algorithm 1 migrates
 	}
 	for _, st := range stages {
 		if got := len(st.Subtasks); got != wants[st.Name] {

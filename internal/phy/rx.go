@@ -64,13 +64,6 @@ type Receiver struct {
 	rawCovered []bool    // [block] rate matching covers all systematic bits at rv 0
 	descramb   []float64 // scrambling sequence as ±1 LLR sign multipliers
 
-	// Batched decode grouping (cfg.DecodeBatch > 1): group g covers blocks
-	// groups[g]..groups[g+1] and owns batches[g], so concurrent group
-	// subtasks never share scratch.
-	groups   []int
-	batches  []*turbo.Batch
-	groupIdx [][]int // [group] scratch: block ids added to the batch
-
 	// Cached stage decomposition. The subtask closures read the per-call
 	// inputs from curIQ/curN0, which Pipeline sets before returning stages.
 	stages      []Stage
@@ -128,9 +121,6 @@ func NewReceiver(cfg Config) (*Receiver, error) {
 			return nil, err
 		}
 		dec.MaxIterations = cfg.maxIter()
-		dec.Path = cfg.DecoderPath
-		dec.Radix = cfg.DecoderRadix
-		dec.CheckCadence = cfg.DecodeCheckCadence
 		rx.rms = append(rx.rms, rm)
 		rx.decoders = append(rx.decoders, dec)
 		// The iteration-0 raw-hard-decision pre-check only ever pays when
@@ -255,25 +245,11 @@ func (rx *Receiver) buildStages() {
 		demodStage.Subtasks = append(demodStage.Subtasks, func() { rx.demodSymbol(ds, noise()) })
 	}
 
-	// Stage 4: decode — one subtask per code block, or per group of
-	// cfg.DecodeBatch blocks decoded together through turbo.Batch.
+	// Stage 4: decode — one subtask per code block.
 	decodeStage := Stage{Name: TaskDecode}
-	c := rx.layout.seg.C
-	if b := rx.cfg.DecodeBatch; b > 1 {
-		for lo := 0; lo < c; lo += b {
-			hi := min(lo+b, c)
-			rx.groups = append(rx.groups, lo)
-			rx.batches = append(rx.batches, turbo.NewBatch(hi-lo))
-			rx.groupIdx = append(rx.groupIdx, make([]int, 0, hi-lo))
-			g := len(rx.batches) - 1
-			decodeStage.Subtasks = append(decodeStage.Subtasks, func() { rx.decodeGroup(g) })
-		}
-		rx.groups = append(rx.groups, c)
-	} else {
-		for r := 0; r < c; r++ {
-			r := r
-			decodeStage.Subtasks = append(decodeStage.Subtasks, func() { rx.decodeBlock(r) })
-		}
+	for r := 0; r < rx.layout.seg.C; r++ {
+		r := r
+		decodeStage.Subtasks = append(decodeStage.Subtasks, func() { rx.decodeBlock(r) })
 	}
 
 	rx.stages = []Stage{fftStage, chestStage, demodStage, decodeStage}
@@ -424,10 +400,8 @@ func (rx *Receiver) demodSymbol(ds int, n0 float64) {
 	}
 }
 
-// dematchBlock clears and refills code block r's soft streams from the
-// codeword LLRs, reporting whether the block is decodable. The failure arm
-// is unreachable by construction (E > 0 always); it marks the block failed.
-func (rx *Receiver) dematchBlock(r int) bool {
+// decodeBlock rate-dematches and turbo-decodes code block r.
+func (rx *Receiver) decodeBlock(r int) {
 	e := rx.layout.es[r]
 	off := rx.layout.offs[r]
 	s0, s1, s2 := rx.soft[r][0], rx.soft[r][1], rx.soft[r][2]
@@ -435,51 +409,17 @@ func (rx *Receiver) dematchBlock(r int) bool {
 	clear(s1)
 	clear(s2)
 	if err := rx.rms[r].DematchInto(s0, s1, s2, rx.llrs[off:off+e], 0); err != nil {
+		// Unreachable by construction (E > 0 always); treat as a failed block.
 		rx.res.BlockOK[r] = false
 		rx.res.BlockIterations[r] = rx.cfg.maxIter()
-		return false
-	}
-	return true
-}
-
-func (rx *Receiver) storeBlockResult(r int, res turbo.Result) {
-	copy(rx.blocks[r], res.Bits)
-	rx.res.BlockOK[r] = res.OK
-	rx.res.BlockIterations[r] = res.Iterations
-}
-
-// decodeBlock rate-dematches and turbo-decodes code block r.
-func (rx *Receiver) decodeBlock(r int) {
-	if !rx.dematchBlock(r) {
 		return
 	}
 	dec := rx.decoders[r]
 	dec.PrecheckRaw = rx.rawCovered[r] // HARQ shares these decoders and re-enables it
-	rx.storeBlockResult(r, dec.Decode(rx.soft[r][0], rx.soft[r][1], rx.soft[r][2], rx.checks[r]))
-}
-
-// decodeGroup rate-dematches block group g and decodes it as one
-// turbo.Batch: every block's half-iterations interleave under the shared
-// schedule, with per-block CRC termination. Bit-identical to decodeBlock
-// per block.
-func (rx *Receiver) decodeGroup(g int) {
-	lo, hi := rx.groups[g], rx.groups[g+1]
-	b := rx.batches[g]
-	b.Reset()
-	ids := rx.groupIdx[g][:0]
-	for r := lo; r < hi; r++ {
-		if !rx.dematchBlock(r) {
-			continue
-		}
-		dec := rx.decoders[r]
-		dec.PrecheckRaw = rx.rawCovered[r] // HARQ shares these decoders and re-enables it
-		b.Add(dec, rx.soft[r][0], rx.soft[r][1], rx.soft[r][2], rx.checks[r])
-		ids = append(ids, r)
-	}
-	b.Run()
-	for i, r := range ids {
-		rx.storeBlockResult(r, b.Result(i))
-	}
+	res := dec.Decode(s0, s1, s2, rx.checks[r])
+	copy(rx.blocks[r], res.Bits)
+	rx.res.BlockOK[r] = res.OK
+	rx.res.BlockIterations[r] = res.Iterations
 }
 
 // Result assembles the transport block after all stages completed. The

@@ -62,13 +62,7 @@ type Config struct {
 	// receivers for the in-flight window borrowed from the shared arena.
 	// ≤1 keeps the serial one-subframe-at-a-time loop.
 	PipelineDepth int
-	// DecodeBatch is phy.Config's knob of the same name: code blocks per
-	// batched decode subtask. 0 selects automatically — all blocks decode
-	// as one turbo.Batch when the stages run serially on their core
-	// (PHYWorkers ≤ 1), while a phy.Pool fan-out keeps one subtask per
-	// block so decode still spreads across the workers.
-	DecodeBatch int
-	Seed        uint64
+	Seed          uint64
 	// Tracer, when non-nil, receives the run's event stream (arrivals,
 	// starts, per-stage phases, drops, finishes) with times in microseconds
 	// since the feeder epoch. The sink is wrapped with trace.Locked because
@@ -99,28 +93,6 @@ func (c Config) pool() int {
 		return 4
 	}
 	return c.Pool
-}
-
-// batchAll exceeds any LTE code-block count, collapsing decode to a single
-// batched subtask.
-const batchAll = 1 << 10
-
-func (c Config) decodeBatch() int {
-	if c.DecodeBatch != 0 {
-		return c.DecodeBatch
-	}
-	if c.PHYWorkers > 1 {
-		return 1
-	}
-	return batchAll
-}
-
-// rxConfig is the receiver-side phy configuration: phyConfig plus the
-// decode batching the run's execution mode wants.
-func (c Config) rxConfig(mcs int) phy.Config {
-	pc := phyConfig(mcs, c.Antennas)
-	pc.DecodeBatch = c.decodeBatch()
-	return pc
 }
 
 func (c Config) validate() error {
@@ -360,7 +332,7 @@ func Run(cfg Config) (*Stats, error) {
 			}
 			for j := range queues[core] {
 				pb := pools[bs][mcsAt[bs][j.idx]]
-				rx, err := arenaGet(arena, cfg.rxConfig(pb.mcs))
+				rx, err := arenaGet(arena, phyConfig(pb.mcs, cfg.Antennas))
 				if err != nil {
 					// A subframe that cannot get a receiver is enforcement,
 					// not silence: it counts, it drops, and it traces, so
@@ -511,7 +483,7 @@ func runPipelined(cfg Config, core, bs int, queue chan job, pbs []prebuilt, mcsI
 		pmu.Lock()
 		fl[tag] = &inflight{idx: j.idx, release: j.release}
 		pmu.Unlock()
-		if err := pl.Submit(tag, cfg.rxConfig(pb.mcs), pb.iq, pb.n0); err != nil {
+		if err := pl.Submit(tag, phyConfig(pb.mcs, cfg.Antennas), pb.iq, pb.n0); err != nil {
 			pmu.Lock()
 			delete(fl, tag)
 			pmu.Unlock()

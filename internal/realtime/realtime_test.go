@@ -180,6 +180,56 @@ func TestLiveRunObserved(t *testing.T) {
 	}
 }
 
+// TestWorkerDecodesPerCodeBlock: the receiver a serial worker (no phy.Pool)
+// borrows carries one decode subtask per code block — the granularity
+// Algorithm 1 migrates is a property of the live path itself, not a side
+// effect of PHYWorkers.
+func TestWorkerDecodesPerCodeBlock(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live run is wall-clock bound")
+	}
+	const mcs = 27
+	orig := arenaGet
+	borrowed := 0
+	arenaGet = func(a *phy.Arena, cfg phy.Config) (*phy.Receiver, error) {
+		rx, err := orig(a, cfg)
+		if err != nil {
+			return nil, err
+		}
+		borrowed++
+		iq := [][]complex128{make([]complex128, cfg.Bandwidth.SamplesPerSubframe())}
+		stages, err := rx.Pipeline(iq, 1)
+		if err != nil {
+			t.Errorf("borrowed receiver rejects a subframe: %v", err)
+			return rx, nil
+		}
+		decode := stages[len(stages)-1]
+		if decode.Name != phy.TaskDecode || rx.CodeBlocks() != 6 || len(decode.Subtasks) != rx.CodeBlocks() {
+			t.Errorf("stage %q: %d subtasks for %d code blocks, want one per block of 6",
+				decode.Name, len(decode.Subtasks), rx.CodeBlocks())
+		}
+		return rx, nil
+	}
+	defer func() { arenaGet = orig }()
+
+	st, err := Run(Config{
+		Basestations: 1,
+		CoresPerBS:   1, // one worker goroutine: borrowed needs no lock
+		Subframes:    3,
+		Antennas:     1,
+		SNRdB:        30,
+		MCS:          mcs,
+		Dilation:     50,
+		Seed:         9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if borrowed == 0 || st.Decoded == 0 {
+		t.Fatalf("borrowed %d receivers, decoded %d subframes", borrowed, st.Decoded)
+	}
+}
+
 // TestArenaFailureIsRecordedDrop is the regression for the silently-skipped
 // subframe: when no receiver can be acquired, the subframe must still be
 // counted, recorded as a drop, traced as EvDrop, and mirrored into the live

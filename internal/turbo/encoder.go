@@ -42,16 +42,6 @@ func EncodeStreams(block []byte) (streams [][]byte, err error) {
 	return encodeWith(block, il), nil
 }
 
-// demuxTails splits the last four entries of the three soft streams back
-// into per-encoder tail LLRs, inverting the multiplexing above.
-func demuxTails(s0, s1, s2 []float64, k int) (x1, z1, x2, z2 [3]float64) {
-	x1 = [3]float64{s0[k], s2[k], s1[k+1]}
-	z1 = [3]float64{s1[k], s0[k+1], s2[k+1]}
-	x2 = [3]float64{s0[k+2], s2[k+2], s1[k+3]}
-	z2 = [3]float64{s1[k+2], s0[k+3], s2[k+3]}
-	return
-}
-
 func validateBlockLen(k int) error {
 	if _, _, err := qppParams(k); err != nil {
 		return fmt.Errorf("turbo: invalid block length %d", k)

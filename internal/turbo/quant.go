@@ -37,12 +37,11 @@ import "rtopex/internal/modulation"
 //     computes in int32 with qSentI32 = −2²⁸ so sentinels cannot creep back
 //     into contention through additions (|c| ≤ 24573 ≪ 2²⁸).
 //
-// constituentQ below is the radix-2 scalar reference for these
-// conventions. radix4.go dispatches the same recursions to fused two-stage
-// AVX2 kernels (quant_avx2_amd64.s, lane layout documented there) with
-// renormalization kept per stage, so both steppers clamp identically and
-// produce identical bits; batch.go interleaves several blocks' passes over
-// either stepper through the quantRun half-iteration machine below.
+// constituentQ below is the scalar stepper for these conventions — the only
+// one on hardware without AVX2. radix4.go dispatches the same recursions to
+// fused two-stage AVX2 kernels (quant_avx2_amd64.s, lane layout documented
+// there) with renormalization kept per stage, so both steppers clamp
+// identically and produce identical bits.
 const (
 	// qSent marks an unreachable state in stored int16 alpha rows. It is
 	// int16 minimum, one below the qFloor saturation rail, so a stored
@@ -56,7 +55,8 @@ const (
 	qSentI32 int32 = -1 << 28
 )
 
-// demuxTailsI16 mirrors demuxTails for the quantized streams.
+// demuxTailsI16 splits the last four entries of the three quantized streams
+// back into per-encoder tail LLRs, inverting the multiplexing in encodeWith.
 func demuxTailsI16(s0, s1, s2 []int16, k int) (x1, z1, x2, z2 [3]int16) {
 	x1 = [3]int16{s0[k], s2[k], s1[k+1]}
 	z1 = [3]int16{s1[k], s0[k+1], s2[k+1]}
@@ -65,166 +65,80 @@ func demuxTailsI16(s0, s1, s2 []int16, k int) (x1, z1, x2, z2 [3]int16) {
 	return
 }
 
-// quantRun is the per-block state of the int16 iteration pipeline,
-// factored into explicit half-iteration steps so a Batch (batch.go) can
-// interleave several blocks' passes under one schedule. decodeQuant drives
-// the same steps for a single block, so single and batched decodes execute
-// the identical per-block operation sequence — bit-identity between them
-// is structural, not coincidental.
-type quantRun struct {
-	d     *Decoder
-	check func([]byte) bool
-	// s2 is the decoder-2 parity stream in float form: its K-element body
-	// is quantized lazily on the first decoder-2 pass (see half2), because
-	// at operating SNR most blocks terminate after the first decoder-1
-	// pass and never need it. The 4 tail elements are quantized eagerly in
-	// begin — the termination tails straddle all three streams.
-	s2              []float64
-	sys, par1, par2 []int16
-	x1, z1, x2, z2  [3]int16
-	hard1           []byte
-	it              int // current full iteration, 1-based
-	d2Ready         bool
-	done            bool
-	res             Result
-}
-
-// begin quantizes the decoder-1-side inputs and arms the run. Decoder-2
-// input preparation (quantizing the second parity body, interleaving the
-// systematic) is deferred to the first half2 call.
-func (r *quantRun) begin(d *Decoder, s0, s1, s2 []float64, check func([]byte) bool) {
+// decodeQuant is the int16 iteration pipeline: per full iteration one
+// decoder-1 pass on the natural order and one decoder-2 pass on the
+// interleaved order, with the check evaluated after every pass.
+func (d *Decoder) decodeQuant(s0, s1, s2 []float64, check func([]byte) bool) Result {
 	k := d.K
+	// The decoder-2 parity body is quantized lazily, before the first
+	// decoder-2 pass: at operating SNR most blocks terminate after the first
+	// decoder-1 pass and never need it. Its 4 tail elements are quantized
+	// here — the termination tails straddle all three streams.
 	modulation.QuantizeLLRsInto(d.q0, s0)
 	modulation.QuantizeLLRsInto(d.q1, s1)
 	for j := k; j < k+4; j++ {
 		d.q2[j] = modulation.QuantizeLLR(s2[j])
 	}
-	r.d = d
-	r.check = check
-	r.s2 = s2
-	r.sys = d.q0[:k]
-	r.par1 = d.q1[:k]
-	r.par2 = d.q2[:k]
-	r.x1, r.z1, r.x2, r.z2 = demuxTailsI16(d.q0, d.q1, d.q2, k)
+	sys, par1, par2 := d.q0[:k], d.q1[:k], d.q2[:k]
+	x1, z1, x2, z2 := demuxTailsI16(d.q0, d.q1, d.q2, k)
 	// Hard decisions fall out of the constituent passes for free: the
 	// backward loop already computes the unclamped a-posteriori m0−m1 per
 	// bit, so each pass writes sign bits as it goes (decoder 2's in the
 	// interleaved domain, deinterleaved before the CRC). When check is nil
 	// only the final pass needs decisions.
-	r.hard1 = nil
+	var hard1 []byte
 	if check != nil {
-		r.hard1 = d.hard
+		hard1 = d.hard
 	}
-	r.it = 0
-	r.d2Ready = false
-	r.done = false
-	r.res = Result{Bits: d.hard}
-}
 
-// shouldCheck applies the CRC-check cadence: pass is the 1-based
-// constituent-pass index (2 per full iteration); the final decoder-2 pass
-// is always checked so a cadence can never suppress the only verdict.
-func (r *quantRun) shouldCheck(pass int, final bool) bool {
-	if r.check == nil {
-		return false
-	}
-	if final {
-		return true
-	}
-	c := r.d.CheckCadence
-	if c <= 1 {
-		return true
-	}
-	return pass%c == 0
-}
-
-// half1 runs one decoder-1 pass and its cadenced CRC check. Reports (and
-// records) whether the run is finished.
-func (r *quantRun) half1() bool {
-	d := r.d
-	r.it++
-	r.res.Iterations = r.it
-	la := d.qla
-	if r.it == 1 {
-		// The a-priori is identically zero before the first pass; nil la
-		// lets the constituent pass skip the add entirely (and the
-		// pipeline never has to clear d.qla — every later iteration
-		// rewrites it in full via InverseI16).
-		la = nil
-	}
-	d.constituentPass(r.sys, r.par1, la, r.x1, r.z1, d.qle1, r.hard1)
-	if r.shouldCheck(2*r.it-1, false) && r.check(d.hard) {
-		r.res.OK = true
-		r.done = true
-	}
-	return r.done
-}
-
-// half2 runs one decoder-2 pass (preparing its inputs on first use), the
-// extrinsic deinterleave, and the cadenced CRC check. Reports (and
-// records) whether the run is finished.
-func (r *quantRun) half2() bool {
-	d := r.d
-	k := d.K
-	if !r.d2Ready {
-		modulation.QuantizeLLRsInto(r.par2, r.s2[:k])
-		d.il.PermuteI16(r.sys, d.qsysI)
-		r.d2Ready = true
-	}
-	hard2 := []byte(nil)
-	if r.check != nil || r.it == d.MaxIterations {
-		hard2 = d.qhardI
-	}
-	d.il.PermuteI16(d.qle1, d.qla2)
-	d.constituentPass(d.qsysI, r.par2, d.qla2, r.x2, r.z2, d.qle, hard2)
-	d.il.InverseI16(d.qle, d.qla)
-	if r.shouldCheck(2*r.it, r.it == d.MaxIterations) {
-		d.il.Inverse(d.qhardI, d.hard)
-		if r.check(d.hard) {
-			r.res.OK = true
-			r.done = true
-			return true
+	res := Result{Bits: d.hard}
+	for it := 1; it <= d.MaxIterations; it++ {
+		res.Iterations = it
+		la := d.qla
+		if it == 1 {
+			// The a-priori is identically zero before the first pass; nil la
+			// lets the constituent pass skip the add entirely (and the
+			// pipeline never has to clear d.qla — every later iteration
+			// rewrites it in full via InverseI16).
+			la = nil
 		}
-	}
-	if r.it == d.MaxIterations {
-		r.done = true
-		if r.check == nil {
+		d.constituentQR4(sys, par1, la, x1, z1, d.qle1, hard1)
+		if check != nil && check(d.hard) {
+			res.OK = true
+			return res
+		}
+
+		if it == 1 {
+			modulation.QuantizeLLRsInto(par2, s2[:k])
+			d.il.PermuteI16(sys, d.qsysI)
+		}
+		var hard2 []byte
+		if check != nil || it == d.MaxIterations {
+			hard2 = d.qhardI
+		}
+		d.il.PermuteI16(d.qle1, d.qla2)
+		d.constituentQR4(d.qsysI, par2, d.qla2, x2, z2, d.qle, hard2)
+		d.il.InverseI16(d.qle, d.qla)
+		if hard2 != nil {
 			d.il.Inverse(d.qhardI, d.hard)
-			r.res.OK = true
+			if check != nil && check(d.hard) {
+				res.OK = true
+				return res
+			}
 		}
 	}
-	return r.done
+	res.OK = check == nil
+	return res
 }
 
-// decodeQuant is the int16 iteration pipeline. It mirrors decodeFloat
-// half-iteration for half-iteration; only the constituent arithmetic, the
-// buffer types, and the (configurable) check cadence differ.
-func (d *Decoder) decodeQuant(s0, s1, s2 []float64, check func([]byte) bool) Result {
-	if d.MaxIterations < 1 {
-		if check == nil {
-			d.il.Inverse(d.qhardI, d.hard)
-			return Result{Bits: d.hard, OK: true}
-		}
-		return Result{Bits: d.hard}
-	}
-	var r quantRun
-	r.begin(d, s0, s1, s2, check)
-	for {
-		if r.half1() {
-			return r.res
-		}
-		if r.half2() {
-			return r.res
-		}
-	}
-}
-
-// constituentQ is one fixed-point max-log-MAP pass: the int16 counterpart of
-// constituent, with doubled branch metrics and per-step renormalization as
-// described in the header comment. The state wiring in the unrolled loops is
-// identical to the float64 path's (and so covered by TestConstituentWiring);
-// the table-driven prologue/epilogue are cross-checked against the unrolled
-// wiring by the quantized tests.
+// constituentQ is one fixed-point max-log-MAP pass — systematic LLRs lsys,
+// parity LLRs lpar, a-priori la (all length K), plus 3 termination
+// systematic/parity LLRs; the extrinsic output goes to le — with doubled
+// branch metrics and per-step renormalization as described in the header
+// comment. The three recursions are unrolled over the 8-state LTE trellis
+// (see trellis.go; TestConstituentWiring verifies the hardcoded wiring
+// against the canonical tables); the table-driven prologue/epilogue are
+// cross-checked against the unrolled wiring by the quantized tests.
 //
 // When hard is non-nil it receives this pass's hard decisions, in this
 // pass's bit order: hard[i] is the sign bit of the unclamped a-posteriori
@@ -250,50 +164,8 @@ func (d *Decoder) constituentQ(lsys, lpar, la []int16, xTail, zTail [3]int16, le
 
 	// Forward prologue: steps 0..2 still have unreachable states, handled
 	// in int32 with explicit sentinels, table-driven (cold path).
-	var av [numStates]int32
-	av[0] = 0
-	alpha[0] = 0
-	for s := 1; s < numStates; s++ {
-		av[s] = qSentI32
-		alpha[s] = qSent
-	}
-	pro := 3
-	if k < pro {
-		pro = k
-	}
-	for i := 0; i < pro; i++ {
-		gs, gp := int32(qg0[i]), int32(qg1[i])
-		c := [4]int32{gs + gp, gs - gp, -gs + gp, -gs - gp} // indexed 2u+z
-		var nv [numStates]int32
-		for s := range nv {
-			nv[s] = qSentI32
-		}
-		for s := 0; s < numStates; s++ {
-			if av[s] <= qSentI32 {
-				continue
-			}
-			for u := byte(0); u < 2; u++ {
-				ns := nextState[s][u]
-				if v := av[s] + c[2*u+parityBit[s][u]]; v > nv[ns] {
-					nv[ns] = v
-				}
-			}
-		}
-		m := nv[0]
-		for s := 1; s < numStates; s++ {
-			m = max(m, nv[s])
-		}
-		next := (*[numStates]int16)(alpha[(i+1)*numStates:])
-		for s := 0; s < numStates; s++ {
-			if nv[s] <= qSentI32 {
-				av[s] = qSentI32
-				next[s] = qSent
-			} else {
-				av[s] = max(nv[s]-m, qFloor)
-				next[s] = int16(av[s])
-			}
-		}
-	}
+	av := forwardPrologueQ(alpha, qg0, qg1, k)
+	pro := min(3, k)
 
 	// Forward main loop: every state reachable, no guards. Metrics live in
 	// int32 registers — the row computed at step i is both stored (int16,
@@ -334,41 +206,13 @@ func (d *Decoder) constituentQ(lsys, lpar, la []int16, xTail, zTail [3]int16, le
 		}
 	}
 
-	// Tail: beta[K] by backward recursion over the three forced termination
-	// steps from state 0 at virtual step K+3. Doubled metrics, guarded.
-	var tb [numStates]int32
-	for s := range tb {
-		tb[s] = qSentI32
-	}
-	tb[0] = 0
-	for t := 2; t >= 0; t-- {
-		gs, gp := int32(xTail[t]), int32(zTail[t])
-		var nb [numStates]int32
-		for s := 0; s < numStates; s++ {
-			u := feedback[s]
-			ns := nextState[s][u]
-			if tb[ns] <= qSentI32 {
-				nb[s] = qSentI32
-				continue
-			}
-			m := gs
-			if u == 1 {
-				m = -gs
-			}
-			if parityBit[s][u] == 1 {
-				m -= gp
-			} else {
-				m += gp
-			}
-			nb[s] = tb[ns] + m
-		}
-		tb = nb
-	}
+	tb := tailBetaQ(xTail, zTail)
 
-	// Backward recursion fused with LLR extraction, mirroring the float64
-	// path. After the termination tail every state is reachable, so beta
-	// needs no guards anywhere; only the alpha reads at i < 3 do, and those
-	// drop to the table-driven epilogue.
+	// Backward recursion fused with LLR extraction: the beta row for step
+	// i+1 lives in b0..b7 while le[i] is computed, then the row for step i
+	// replaces it in the same registers. After the termination tail every
+	// state is reachable, so beta needs no guards anywhere; only the alpha
+	// reads at i < 3 do, and those drop to the table-driven epilogue.
 	//
 	// Beta lives in int32 registers and is never stored, so unlike alpha it
 	// needs no per-row renormalization: each step moves the row by at most

@@ -2,8 +2,8 @@
 
 package turbo
 
-// Non-amd64 builds have no fused-kernel support; Radix4 decoders fall back
-// to the radix-2 scalar stepper (bit-identical outputs, see radix4.go).
+// Non-amd64 builds have no fused-kernel support; every constituent pass runs
+// on the scalar stepper (bit-identical outputs, see radix4.go).
 const radix4HW = false
 
 func forwardStepsAVX2(rows *int16, qg0 *int16, qg1 *int16, n int, av *[8]int32) {

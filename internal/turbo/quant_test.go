@@ -8,19 +8,23 @@ import (
 	"rtopex/internal/stats"
 )
 
-// decodeWithPath runs one decode over the given soft streams with the chosen
-// arithmetic. check=nil forces the full iteration count on the trellis, so
-// the comparison exercises the recursions rather than the raw pre-check.
-func decodeWithPath(t *testing.T, k int, path Path, maxIter int, s [][]float64) []byte {
+// decodeQuantBits runs one production decode over the given soft streams.
+// check=nil forces the full iteration count on the trellis, so the comparison
+// exercises the recursions rather than the raw pre-check.
+func decodeQuantBits(t *testing.T, k, maxIter int, s [][]float64) []byte {
 	t.Helper()
 	dec, err := NewDecoder(k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec.Path = path
 	dec.MaxIterations = maxIter
 	res := dec.Decode(s[0], s[1], s[2], nil)
 	return append([]byte(nil), res.Bits...)
+}
+
+// oracleBits is decodeQuantBits for the float64 test oracle.
+func oracleBits(k, maxIter int, s [][]float64) []byte {
+	return oracleDecode(k, maxIter, s[0], s[1], s[2], nil).Bits
 }
 
 func noisyStreams(r *stats.RNG, streams [][]byte, snrDB float64) [][]float64 {
@@ -44,8 +48,8 @@ func TestQuantMatchesFloatAtModerateSNR(t *testing.T) {
 				in := randomBlock(r, k)
 				streams, _ := EncodeStreams(in)
 				s := noisyStreams(r, streams, snr)
-				q := decodeWithPath(t, k, PathQuantized, 4, s)
-				f := decodeWithPath(t, k, PathFloat64, 4, s)
+				q := decodeQuantBits(t, k, 4, s)
+				f := oracleBits(k, 4, s)
 				if d := bits.HammingDistance(q, f); d != 0 {
 					t.Fatalf("K=%d SNR=%v trial %d: quant and float disagree in %d bits", k, snr, trial, d)
 				}
@@ -75,8 +79,8 @@ func TestQuantFloatBLERDeltaBounded(t *testing.T) {
 			in := randomBlock(r, k)
 			streams, _ := EncodeStreams(in)
 			s := noisyStreams(r, streams, snr)
-			q := decodeWithPath(t, k, PathQuantized, 8, s)
-			f := decodeWithPath(t, k, PathFloat64, 8, s)
+			q := decodeQuantBits(t, k, 8, s)
+			f := oracleBits(k, 8, s)
 			qOK := bits.HammingDistance(q, in) == 0
 			fOK := bits.HammingDistance(f, in) == 0
 			if !qOK {
@@ -118,7 +122,7 @@ func TestQuantDecodeSaturatedInputs(t *testing.T) {
 					s[j][i] = mag * (1 - 2*float64(b))
 				}
 			}
-			q := decodeWithPath(t, k, PathQuantized, 4, s)
+			q := decodeQuantBits(t, k, 4, s)
 			if bits.HammingDistance(q, in) != 0 {
 				t.Fatalf("K=%d |LLR|=%v: quantized decode failed on railed inputs", k, mag)
 			}
@@ -126,32 +130,39 @@ func TestQuantDecodeSaturatedInputs(t *testing.T) {
 	}
 }
 
-// TestQuantSentinelPuncturedHead attacks the unreachable-state sentinels: in
-// the first trellis steps most states carry the "impossible" marker, and a
-// punctured (all-zero LLR) head combined with railed values right after it is
-// the adversarial input for the guarded prologue. The quantized path must
-// agree with the float oracle bit for bit and still recover the block.
+// puncturedHead is the adversarial input for the guarded prologue: in the
+// first trellis steps most states carry the "impossible" marker, and an
+// all-zero LLR head, where those sentinels meet zero metrics, with railed
+// values right after it, is what can let one creep back into contention.
+func puncturedHead(streams [][]byte) [][]float64 {
+	s := make([][]float64, 3)
+	for j := range streams {
+		s[j] = make([]float64, len(streams[j]))
+		for i, b := range streams[j] {
+			switch {
+			case i < 6:
+				s[j][i] = 0
+			case i < 12:
+				s[j][i] = 1e5 * (1 - 2*float64(b))
+			default:
+				s[j][i] = 8 * (1 - 2*float64(b))
+			}
+		}
+	}
+	return s
+}
+
+// TestQuantSentinelPuncturedHead attacks the unreachable-state sentinels: on
+// a punctured head the quantized path must agree with the float oracle bit
+// for bit and still recover the block.
 func TestQuantSentinelPuncturedHead(t *testing.T) {
 	r := stats.NewRNG(73)
 	for _, k := range []int{40, 48, 64} {
 		in := randomBlock(r, k)
 		streams, _ := EncodeStreams(in)
-		s := make([][]float64, 3)
-		for j := range streams {
-			s[j] = make([]float64, len(streams[j]))
-			for i, b := range streams[j] {
-				switch {
-				case i < 6:
-					s[j][i] = 0 // punctured head: sentinel states meet zero metrics
-				case i < 12:
-					s[j][i] = 1e5 * (1 - 2*float64(b)) // railed right after
-				default:
-					s[j][i] = 8 * (1 - 2*float64(b))
-				}
-			}
-		}
-		q := decodeWithPath(t, k, PathQuantized, 4, s)
-		f := decodeWithPath(t, k, PathFloat64, 4, s)
+		s := puncturedHead(streams)
+		q := decodeQuantBits(t, k, 4, s)
+		f := oracleBits(k, 4, s)
 		if d := bits.HammingDistance(q, f); d != 0 {
 			t.Fatalf("K=%d: quant and float disagree in %d bits on punctured head", k, d)
 		}
@@ -171,39 +182,53 @@ func TestQuantEarlyTerminationParity(t *testing.T) {
 	s := noisyStreams(r, streams, 8)
 	want := append([]byte(nil), in...)
 	check := func(b []byte) bool { return bits.HammingDistance(b, want) == 0 }
-	for _, path := range []Path{PathQuantized, PathFloat64} {
-		dec, _ := NewDecoder(k)
-		dec.Path = path
-		dec.PrecheckRaw = false // force at least one constituent pass
-		dec.MaxIterations = 8
-		res := dec.Decode(s[0], s[1], s[2], check)
-		if !res.OK {
-			t.Fatalf("%v: check never passed at 8 dB", path)
+	dec, _ := NewDecoder(k)
+	dec.PrecheckRaw = false // force at least one constituent pass
+	dec.MaxIterations = 8
+	for _, c := range []struct {
+		name string
+		res  Result
+	}{
+		{"quantized", dec.Decode(s[0], s[1], s[2], check)},
+		{"float64", oracleDecode(k, 8, s[0], s[1], s[2], check)},
+	} {
+		if !c.res.OK {
+			t.Fatalf("%v: check never passed at 8 dB", c.name)
 		}
-		if res.Iterations >= 8 {
-			t.Fatalf("%v: no early termination (%d iterations)", path, res.Iterations)
+		if c.res.Iterations >= 8 {
+			t.Fatalf("%v: no early termination (%d iterations)", c.name, c.res.Iterations)
 		}
 	}
 }
 
-// TestDecodeFloatAllocFree mirrors TestDecodeAllocFree for the reference
-// path: forcing Path=PathFloat64 must also run allocation-free.
-func TestDecodeFloatAllocFree(t *testing.T) {
-	const k = 1056
-	d, err := NewDecoder(k)
+// TestDecodeZeroIterationsReturnsRawDecisions: with no iterations allowed
+// and nothing to check, the answer is the raw systematic hard decisions — on
+// a fresh decoder fed all-negative LLRs, all ones, not whatever the
+// decoder-2 scratch last held.
+func TestDecodeZeroIterationsReturnsRawDecisions(t *testing.T) {
+	const k = 40
+	dec, err := NewDecoder(k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Path = PathFloat64
-	r := stats.NewRNG(75)
-	s0 := randLLRs(r, k+4, 0)
-	s1 := randLLRs(r, k+4, 1)
-	s2 := randLLRs(r, k+4, 2)
-	d.Decode(s0, s1, s2, nil) // warm up
-	allocs := testing.AllocsPerRun(5, func() {
-		d.Decode(s0, s1, s2, nil)
-	})
-	if allocs != 0 {
-		t.Fatalf("float64 Decode allocates %.1f objects per call, want 0", allocs)
+	dec.MaxIterations = 0
+	s := make([]float64, k+4)
+	for i := range s {
+		s[i] = -4
+	}
+	res := dec.Decode(s, s, s, nil)
+	if !res.OK || res.Iterations != 0 {
+		t.Fatalf("OK=%v Iterations=%d, want OK with 0 iterations", res.OK, res.Iterations)
+	}
+	for i, b := range res.Bits {
+		if b != 1 {
+			t.Fatalf("bit %d = %d, want the raw decision 1", i, b)
+		}
+	}
+	// With a check the verdict is the check's, on the same raw decisions.
+	dec.PrecheckRaw = false
+	res = dec.Decode(s, s, s, func(b []byte) bool { return b[0] == 0 })
+	if res.OK || res.Bits[0] != 1 {
+		t.Fatalf("rejecting check: OK=%v bit0=%d, want !OK on raw decisions", res.OK, res.Bits[0])
 	}
 }

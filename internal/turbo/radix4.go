@@ -2,44 +2,25 @@ package turbo
 
 import "rtopex/internal/modulation"
 
-// Radix selects the trellis stepping of the quantized constituent passes.
-//
-// Radix4 fuses two trellis stages per sweep iteration using the AVX2
-// kernels in quant_avx2_amd64.s, with renormalization kept per stage so the
-// arithmetic — and therefore every output bit — matches the radix-2 scalar
-// stepper exactly. The radix-2 path stays selectable for differential
-// testing (TestRadix4DifferentialGrid) and as the fallback on hardware
-// without AVX2, where Radix4 silently decodes through the scalar stepper:
-// outputs are identical either way, only the stepping speed differs.
-type Radix uint8
-
-const (
-	// Radix4 (the zero value, so the default) steps the quantized trellis
-	// two stages per fused sweep via the SIMD kernels when the CPU
-	// supports them.
-	Radix4 Radix = iota
-	// Radix2 forces the scalar single-stage reference stepper.
-	Radix2
-)
-
-func (r Radix) String() string {
-	if r == Radix2 {
-		return "radix2"
-	}
-	return "radix4"
-}
-
-// radix4Enabled gates kernel dispatch; tests flip it to cover the scalar
-// fallback on AVX2 hardware.
+// radix4Enabled gates dispatch to the kernel stepper, which fuses two trellis
+// stages per sweep iteration using the AVX2 kernels in quant_avx2_amd64.s,
+// with renormalization kept per stage so the arithmetic — and therefore every
+// output bit — matches the scalar stepper constituentQ exactly
+// (TestRadix4DifferentialGrid). Which one runs is decided by what the code
+// can observe: radix4HW, the CPUID probe. On hardware without AVX2 every pass
+// decodes through the scalar stepper; outputs are identical either way, only
+// the stepping speed differs. Tests clear the variable to cover the scalar
+// stepper on AVX2 hardware.
 var radix4Enabled = radix4HW
 
-// constituentQR4 is the radix-4 constituent pass: identical contract to
-// constituentQ, stepped two trellis stages per fused sweep on the AVX2
-// kernels. The guarded edges (3-step forward prologue, termination tail,
-// 3-step LLR epilogue) stay scalar — they are cold and carry the sentinel
-// logic — while the guard-free interior runs vectorized. Unlike the scalar
-// pass it reads the parity stream in place instead of staging it through
-// d.qg1 (same values, one copy less).
+// constituentQR4 is the constituent pass the iteration pipeline calls:
+// identical contract to constituentQ, stepped two trellis stages per fused
+// sweep on the AVX2 kernels when they are available, and through constituentQ
+// itself when not. The guarded edges (3-step forward prologue, termination
+// tail, 3-step LLR epilogue) stay scalar — they are cold and carry the
+// sentinel logic — while the guard-free interior runs vectorized. Unlike the
+// scalar pass it reads the parity stream in place instead of staging it
+// through d.qg1 (same values, one copy less).
 func (d *Decoder) constituentQR4(lsys, lpar, la []int16, xTail, zTail [3]int16, le []int16, hard []byte) {
 	k := d.K
 	if !radix4Enabled || k <= numStates {
@@ -49,8 +30,8 @@ func (d *Decoder) constituentQR4(lsys, lpar, la []int16, xTail, zTail [3]int16, 
 	alpha := d.qalpha
 	qg0 := d.qg0
 	if la == nil {
-		// First decoder-1 pass of a batch schedule: the a-priori is
-		// identically zero, so qg0 is just the systematic stream.
+		// First decoder-1 pass: the a-priori is identically zero, so qg0
+		// is just the systematic stream.
 		copy(qg0[:k], lsys[:k])
 	} else {
 		for i := 0; i < k; i++ {
@@ -105,18 +86,9 @@ func (d *Decoder) constituentQR4(lsys, lpar, la []int16, xTail, zTail [3]int16, 
 	}
 }
 
-// constituentPass dispatches one quantized constituent pass by d.Radix.
-func (d *Decoder) constituentPass(lsys, lpar, la []int16, xTail, zTail [3]int16, le []int16, hard []byte) {
-	if d.Radix == Radix2 {
-		d.constituentQ(lsys, lpar, la, xTail, zTail, le, hard)
-		return
-	}
-	d.constituentQR4(lsys, lpar, la, xTail, zTail, le, hard)
-}
-
 // forwardPrologueQ runs the guarded 3-step forward prologue from state 0,
 // storing int16 rows 1..3 and returning the int32 state vector after the
-// last guarded step. Shared verbatim between the radix-2 and radix-4 paths.
+// last guarded step. Shared by the scalar and kernel steppers.
 func forwardPrologueQ(alpha, qg0, qg1 []int16, k int) [numStates]int32 {
 	var av [numStates]int32
 	av[0] = 0
@@ -167,7 +139,7 @@ func forwardPrologueQ(alpha, qg0, qg1 []int16, k int) [numStates]int32 {
 
 // tailBetaQ seeds the backward recursion through the three forced
 // termination steps from state 0 at virtual step K+3. Doubled metrics,
-// guarded; shared between the radix-2 and radix-4 paths.
+// guarded; shared by the scalar and kernel steppers.
 func tailBetaQ(xTail, zTail [3]int16) [numStates]int32 {
 	var tb [numStates]int32
 	for s := range tb {

@@ -7,15 +7,17 @@ import (
 	"rtopex/internal/stats"
 )
 
-// decodeWithRadix runs one quantized decode with the chosen trellis stepping
-// and deep-copies the result, so grid comparisons survive decoder reuse.
-func decodeWithRadix(t *testing.T, k int, radix Radix, maxIter int, s [][]float64, check func([]byte) bool) Result {
+// decodeKernels runs one decode with the AVX2 kernels switched on or off and
+// deep-copies the result, so comparisons survive decoder reuse.
+func decodeKernels(t testing.TB, kernels bool, k, maxIter int, s [][]float64, check func([]byte) bool) Result {
 	t.Helper()
+	old := radix4Enabled
+	radix4Enabled = kernels
+	defer func() { radix4Enabled = old }()
 	dec, err := NewDecoder(k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec.Radix = radix
 	dec.MaxIterations = maxIter
 	dec.PrecheckRaw = false // force the trellis, not the raw shortcut
 	res := dec.Decode(s[0], s[1], s[2], check)
@@ -23,15 +25,42 @@ func decodeWithRadix(t *testing.T, k int, radix Radix, maxIter int, s [][]float6
 	return res
 }
 
-// TestRadix4DifferentialGrid is the bit-identity contract of the tentpole:
-// across block lengths (spanning both QPP table regimes and the kernel's
-// odd/even interior-length cases), SNRs from railed-clean through the
-// waterfall to noise-dominated, seeds, and both check modes, the radix-4
-// fused stepper must reproduce the radix-2 scalar reference exactly — same
-// hard decisions, same iteration count, same OK verdict. Run under -race in
-// CI like every test; the decoders here are independent, so the value of
-// -race is catching kernel stores that stray outside their scratch.
+// requireKernelsMatchScalar is the bit-identity contract between the two
+// steppers: the fused AVX2 kernels must reproduce the scalar stepper exactly —
+// same hard decisions, same iteration count, same OK verdict — with and
+// without an early-termination check.
+func requireKernelsMatchScalar(t testing.TB, k, maxIter int, s [][]float64, check func([]byte) bool, label string) {
+	t.Helper()
+	for _, chk := range []func([]byte) bool{nil, check} {
+		sw := decodeKernels(t, false, k, maxIter, s, chk)
+		hw := decodeKernels(t, true, k, maxIter, s, chk)
+		if d := bits.HammingDistance(sw.Bits, hw.Bits); d != 0 {
+			t.Fatalf("K=%d %s check=%v: kernels differ from scalar in %d bits", k, label, chk != nil, d)
+		}
+		if sw.Iterations != hw.Iterations || sw.OK != hw.OK {
+			t.Fatalf("K=%d %s check=%v: (it=%d ok=%v) kernels vs (it=%d ok=%v) scalar",
+				k, label, chk != nil, hw.Iterations, hw.OK, sw.Iterations, sw.OK)
+		}
+	}
+}
+
+func skipWithoutKernels(t testing.TB) {
+	if !radix4HW {
+		t.Skip("no AVX2 on this host: the scalar stepper is the only one, nothing to compare")
+	}
+}
+
+// TestRadix4DifferentialGrid runs the contract across block lengths (spanning
+// both QPP table regimes and the kernel's odd/even interior-length cases),
+// SNRs from railed-clean through the waterfall to noise-dominated, and seeds;
+// then across all 188 QPP sizes with the inputs that stress the fixed-point
+// edges: every LLR on the ±LLRQMax rail with signs that form no codeword (so
+// every branch metric saturates and the iterations never settle), and the
+// punctured head. Run under -race in CI like every test; the decoders here
+// are independent, so the value of -race is catching kernel stores that stray
+// outside their scratch.
 func TestRadix4DifferentialGrid(t *testing.T) {
+	skipWithoutKernels(t)
 	for _, k := range []int{40, 104, 512, 1056, 2048, 5312, 6144} {
 		for _, snr := range []float64{-5, -2, 8} {
 			for seed := uint64(0); seed < 3; seed++ {
@@ -39,41 +68,107 @@ func TestRadix4DifferentialGrid(t *testing.T) {
 				in := randomBlock(r, k)
 				streams, _ := EncodeStreams(in)
 				s := noisyStreams(r, streams, snr)
-				want := append([]byte(nil), in...)
-				check := func(b []byte) bool { return bits.HammingDistance(b, want) == 0 }
-				for _, chk := range []func([]byte) bool{nil, check} {
-					r2 := decodeWithRadix(t, k, Radix2, 6, s, chk)
-					r4 := decodeWithRadix(t, k, Radix4, 6, s, chk)
-					if d := bits.HammingDistance(r2.Bits, r4.Bits); d != 0 {
-						t.Fatalf("K=%d SNR=%v seed=%d check=%v: radix-4 differs from radix-2 in %d bits",
-							k, snr, seed, chk != nil, d)
-					}
-					if r2.Iterations != r4.Iterations || r2.OK != r4.OK {
-						t.Fatalf("K=%d SNR=%v seed=%d check=%v: (it=%d ok=%v) radix-4 vs (it=%d ok=%v) radix-2",
-							k, snr, seed, chk != nil, r4.Iterations, r4.OK, r2.Iterations, r2.OK)
-					}
-				}
+				check := func(b []byte) bool { return bits.HammingDistance(b, in) == 0 }
+				requireKernelsMatchScalar(t, k, 6, s, check, "noisy")
 			}
 		}
 	}
+	for _, k := range ValidBlockSizes() {
+		r := stats.NewRNG(uint64(k))
+		in := randomBlock(r, k)
+		streams, _ := EncodeStreams(in)
+		check := func(b []byte) bool { return bits.HammingDistance(b, in) == 0 }
+		railed := make([][]float64, 3)
+		for j := range railed {
+			railed[j] = make([]float64, k+4)
+			for i := range railed[j] {
+				railed[j][i] = 1e6 * (1 - 2*float64(r.Intn(2)))
+			}
+		}
+		requireKernelsMatchScalar(t, k, 4, railed, check, "railed")
+		requireKernelsMatchScalar(t, k, 4, puncturedHead(streams), check, "punctured-head")
+	}
+}
+
+// FuzzKernelsMatchScalar exposes the same contract to arbitrary soft inputs:
+// LLR i of stream j is gain·int8(data[…]), so the fuzzer reaches zeros, the
+// rail (large gain), sub-LSB values (small gain) and non-finite LLRs. The
+// check accepts about one decision vector in four, which moves the early
+// termination across passes. The seed corpus runs under plain `go test`.
+func FuzzKernelsMatchScalar(f *testing.F) {
+	skipWithoutKernels(f)
+	sizes := ValidBlockSizes()
+	r := stats.NewRNG(84)
+	for _, seed := range []struct {
+		kIdx uint16
+		gain float64
+		n    int
+	}{
+		{0, 0.25, 132},                 // K=40, one byte per LLR
+		{1, 1e4, 7},                    // K=48 railed, short cycle
+		{60, 0.001, 64},                // sub-LSB magnitudes
+		{uint16(len(sizes) - 1), 1, 9}, // K=6144
+	} {
+		data := make([]byte, seed.n)
+		for i := range data {
+			data[i] = byte(r.Intn(256))
+		}
+		f.Add(seed.kIdx, seed.gain, data)
+	}
+	// The punctured head of TestQuantSentinelPuncturedHead at K=40: zeros,
+	// then the rail, then moderate values.
+	head := make([]byte, 44)
+	for i := range head {
+		switch {
+		case i < 6:
+			head[i] = 0
+		case i < 12:
+			head[i] = 0x80 // −128·gain: railed
+		default:
+			head[i] = byte(1 + r.Intn(8))
+		}
+	}
+	f.Add(uint16(0), 100.0, head)
+
+	f.Fuzz(func(t *testing.T, kIdx uint16, gain float64, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		k := sizes[int(kIdx)%len(sizes)]
+		s := make([][]float64, 3)
+		for j := range s {
+			s[j] = make([]float64, k+4)
+			for i := range s[j] {
+				s[j][i] = gain * float64(int8(data[(j*(k+4)+i)%len(data)]))
+			}
+		}
+		check := func(b []byte) bool {
+			ones := 0
+			for _, v := range b {
+				ones += int(v)
+			}
+			return ones%4 == 0
+		}
+		requireKernelsMatchScalar(t, k, 3, s, check, "fuzz")
+	})
 }
 
 // TestRadix4ScalarFallbackIdentical covers the dispatch arm hardware tests
-// can't reach on AVX2 machines: with the kernels disabled, a Radix4 decoder
-// must silently produce the same bits through the scalar stepper.
+// can't reach on AVX2 machines: with the kernels disabled, a decoder must
+// silently produce the same bits through the scalar stepper.
 func TestRadix4ScalarFallbackIdentical(t *testing.T) {
 	const k = 1056
 	r := stats.NewRNG(81)
 	in := randomBlock(r, k)
 	streams, _ := EncodeStreams(in)
 	s := noisyStreams(r, streams, 0)
-	hw := decodeWithRadix(t, k, Radix4, 4, s, nil)
-	old := radix4Enabled
-	radix4Enabled = false
-	sw := decodeWithRadix(t, k, Radix4, 4, s, nil)
-	radix4Enabled = old
+	hw := decodeKernels(t, radix4HW, k, 4, s, nil)
+	sw := decodeKernels(t, false, k, 4, s, nil)
 	if d := bits.HammingDistance(hw.Bits, sw.Bits); d != 0 || hw.Iterations != sw.Iterations {
 		t.Fatalf("scalar fallback differs: %d bits, it %d vs %d", d, sw.Iterations, hw.Iterations)
+	}
+	if bits.HammingDistance(sw.Bits, in) != 0 {
+		t.Fatal("scalar stepper failed to decode a 0 dB block")
 	}
 }
 
@@ -95,56 +190,5 @@ func TestRadix4AllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("radix-4 Decode allocates %.1f objects per call, want 0", allocs)
-	}
-}
-
-// TestCheckCadenceSameBitsFewerChecks: thinning the CRC cadence must change
-// only *when* the check runs, never the trellis arithmetic — identical hard
-// decisions, strictly fewer check invocations, and the final pass always
-// checked. On a block the check accepts, a cadence-c decoder may run up to
-// c−1 half-iterations longer before it notices.
-func TestCheckCadenceSameBitsFewerChecks(t *testing.T) {
-	const k = 512
-	r := stats.NewRNG(83)
-	in := randomBlock(r, k)
-	streams, _ := EncodeStreams(in)
-	s := noisyStreams(r, streams, -4) // needs a few iterations
-	run := func(cadence int, accept bool) (Result, int) {
-		dec, err := NewDecoder(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec.MaxIterations = 6
-		dec.PrecheckRaw = false
-		dec.CheckCadence = cadence
-		calls := 0
-		want := append([]byte(nil), in...)
-		res := dec.Decode(s[0], s[1], s[2], func(b []byte) bool {
-			calls++
-			return accept && bits.HammingDistance(b, want) == 0
-		})
-		res.Bits = append([]byte(nil), res.Bits...)
-		return res, calls
-	}
-	// Rejecting check: full iteration run either way, same bits, fewer calls.
-	r1, c1 := run(1, false)
-	r3, c3 := run(3, false)
-	if d := bits.HammingDistance(r1.Bits, r3.Bits); d != 0 {
-		t.Fatalf("cadence changed %d hard decisions with a rejecting check", d)
-	}
-	if c3 >= c1 {
-		t.Fatalf("cadence 3 ran %d checks, cadence 1 ran %d — no thinning", c3, c1)
-	}
-	// Accepting check: both terminate OK; cadence can only delay, not miss.
-	a1, _ := run(1, true)
-	a3, _ := run(3, true)
-	if !a1.OK || !a3.OK {
-		t.Fatalf("early termination lost under cadence: OK %v vs %v", a1.OK, a3.OK)
-	}
-	if a3.Iterations < a1.Iterations {
-		t.Fatalf("cadence 3 terminated earlier (%d) than every-pass (%d)", a3.Iterations, a1.Iterations)
-	}
-	if d := bits.HammingDistance(a1.Bits, a3.Bits); d != 0 {
-		t.Fatalf("cadence changed %d decoded bits with an accepting check", d)
 	}
 }

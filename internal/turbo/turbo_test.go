@@ -231,6 +231,40 @@ func TestDecodeEarlyTermination(t *testing.T) {
 	}
 }
 
+// TestDecodePrecheckShortCircuit pins the raw-systematic precheck: a
+// noiseless block whose raw hard decisions already pass the check reports
+// Iterations == 0 — it never entered the trellis — and the same block with
+// the precheck disabled pays for at least one pass.
+func TestDecodePrecheckShortCircuit(t *testing.T) {
+	r := stats.NewRNG(91)
+	const k = 1056
+	in := randomBlock(r, k)
+	streams, _ := EncodeStreams(in)
+	s := make([][]float64, 3)
+	for j := range streams {
+		s[j] = make([]float64, len(streams[j]))
+		for i, bit := range streams[j] {
+			s[j][i] = 8 * (1 - 2*float64(bit))
+		}
+	}
+	check := func(b []byte) bool { return bits.HammingDistance(b, in) == 0 }
+	dec, err := NewDecoder(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := dec.Decode(s[0], s[1], s[2], check)
+	if !res.OK || res.Iterations != 0 {
+		t.Fatalf("clean block: OK=%v Iterations=%d, want precheck hit (OK, 0 iterations)", res.OK, res.Iterations)
+	}
+	if d := bits.HammingDistance(res.Bits, in); d != 0 {
+		t.Fatalf("clean block: precheck bits differ from payload in %d positions", d)
+	}
+	dec.PrecheckRaw = false
+	if res := dec.Decode(s[0], s[1], s[2], check); !res.OK || res.Iterations != 1 {
+		t.Fatalf("precheck off: OK=%v Iterations=%d, want OK after 1 iteration", res.OK, res.Iterations)
+	}
+}
+
 func TestDecodeIterationCountGrowsWithNoise(t *testing.T) {
 	// At lower SNR the decoder needs more iterations on average — this is
 	// the paper's L(SNR) behavior feeding the timing model.
