@@ -24,12 +24,17 @@ TRACKED_BENCHES = { \
 	$(GO) test -bench='BenchmarkFlightRecorder' -benchtime=$(FLIGHT_BENCHTIME) -run='^$$' ./internal/harness; \
 	$(GO) test -bench='BenchmarkScrapeEvaluate' -benchtime=$(HISTORY_BENCHTIME) -run='^$$' ./internal/harness; }
 
-.PHONY: ci build test vet race fmt-check bench-test bench bench-all bench-check trace-demo sweep-check sweep-check-full baselines baselines-full obs-smoke fleet-smoke flight-smoke slo-smoke profile-phy phy-speedup
+.PHONY: ci build build-arm64 test vet race fmt-check bench-test bench bench-all bench-check trace-demo sweep-check sweep-check-full baselines baselines-full obs-smoke fleet-smoke flight-smoke slo-smoke profile-phy phy-speedup
 
-ci: vet build race bench-test fmt-check sweep-check bench-check phy-speedup obs-smoke fleet-smoke flight-smoke slo-smoke
+ci: vet build build-arm64 race bench-test fmt-check sweep-check bench-check phy-speedup obs-smoke fleet-smoke flight-smoke slo-smoke
 
 build:
 	$(GO) build ./...
+
+# build-arm64 cross-compiles the tree and vets the packages that carry
+# amd64 assembly, so their non-amd64 stubs cannot rot unnoticed.
+build-arm64:
+	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/fft ./internal/turbo ./internal/cpu
 
 vet:
 	$(GO) vet ./...

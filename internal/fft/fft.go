@@ -1,9 +1,9 @@
 // Package fft implements the discrete Fourier transforms needed by the LTE
 // uplink chain: an iterative radix-2 FFT for the OFDM (de)modulation sizes
-// (powers of two: 512, 1024, 2048), a mixed-radix (2/3/4/5) FFT for the
-// 5-smooth SC-FDMA transform precoding sizes (12·nPRB, e.g. 600 for
-// 50 PRBs), and Bluestein's chirp-z algorithm as the fallback for any other
-// length.
+// (powers of two: 512, 1024, 2048) with bit-identical AVX2 kernels on amd64
+// (kernels.go), a mixed-radix (2/3/4/5) FFT for the 5-smooth SC-FDMA
+// transform precoding sizes (12·nPRB, e.g. 600 for 50 PRBs), and Bluestein's
+// chirp-z algorithm as the fallback for any other length.
 //
 // Conventions: Forward computes X[k] = Σ x[n]·e^{-2πi kn/N} (no scaling);
 // Inverse divides by N so Inverse(Forward(x)) == x.
@@ -16,20 +16,29 @@ import (
 )
 
 // Plan caches the twiddle factors and bit-reversal permutation for a fixed
-// power-of-two size. Plans are safe for concurrent use once built: Forward
-// and Inverse write only to their argument.
+// power-of-two size. Plans are immutable once built and safe for concurrent
+// use: the transforms write only to their arguments.
 type Plan struct {
 	n          int
 	rev        []int
 	twiddle    []complex128 // e^{-2πi k / n} for k in [0, n/2)
 	twiddleInv []complex128 // conjugates, so the inverse pass is branch-free
+
+	// Per-pass contiguous copies of the two tables above for the AVX2
+	// kernels (layout in passTable); nil where the kernels cannot run.
+	passTw, passTwInv []complex128
 }
 
-// NewPlan builds a plan for size n, which must be a power of two >= 1.
+// NewPlan returns the plan for size n, which must be a power of two >= 1.
+// Plans are built once per size and shared by every caller.
 func NewPlan(n int) (*Plan, error) {
 	if n < 1 || n&(n-1) != 0 {
 		return nil, fmt.Errorf("fft: size %d is not a positive power of two", n)
 	}
+	return plans.get(n, buildPlan), nil
+}
+
+func buildPlan(n int) *Plan {
 	p := &Plan{n: n, rev: make([]int, n), twiddle: make([]complex128, n/2)}
 	shift := 64 - uint(bits.TrailingZeros(uint(n)))
 	for i := 0; i < n; i++ {
@@ -41,7 +50,11 @@ func NewPlan(n int) (*Plan, error) {
 		p.twiddle[k] = complex(math.Cos(ang), math.Sin(ang))
 		p.twiddleInv[k] = complex(math.Cos(ang), -math.Sin(ang))
 	}
-	return p, nil
+	if kernelsHW && n >= minKernelSize {
+		p.passTw = passTable(n, p.twiddle)
+		p.passTwInv = passTable(n, p.twiddleInv)
+	}
+	return p
 }
 
 // MustPlan is NewPlan that panics on error, for static sizes.
@@ -58,29 +71,64 @@ func (p *Plan) Size() int { return p.n }
 
 // Forward computes the in-place DFT of x, which must have length Size().
 func (p *Plan) Forward(x []complex128) {
-	p.transform(x, false)
+	p.run(x, nil, false)
+}
+
+// ForwardFrom computes the DFT of src into dst, both of length Size(),
+// leaving src untouched: the bit-reversal gather reads src directly, so an
+// input that lives elsewhere (a CP-stripped window of an IQ stream) is
+// touched once instead of copied and then permuted. dst and src must be the
+// same slice or not overlap at all. Results are bit-identical to Forward.
+func (p *Plan) ForwardFrom(dst, src []complex128) {
+	if len(src) != p.n {
+		panic(fmt.Sprintf("fft: input length %d, plan size %d", len(src), p.n))
+	}
+	if len(dst) == p.n && p.n > 0 && &dst[0] == &src[0] {
+		src = nil
+	}
+	p.run(dst, src, false)
 }
 
 // Inverse computes the in-place inverse DFT of x (scaled by 1/N).
 func (p *Plan) Inverse(x []complex128) {
-	p.transform(x, true)
+	p.run(x, nil, true)
 	inv := complex(1/float64(p.n), 0)
 	for i := range x {
 		x[i] *= inv
 	}
 }
 
-func (p *Plan) transform(x []complex128, inverse bool) {
-	n := p.n
-	if len(x) != n {
-		panic(fmt.Sprintf("fft: input length %d, plan size %d", len(x), n))
+// run transforms src into dst, or dst in place when src is nil, on the AVX2
+// kernels when the plan carries their tables and on the scalar transform
+// otherwise. Both produce the same bits.
+func (p *Plan) run(dst, src []complex128, inverse bool) {
+	if len(dst) != p.n {
+		panic(fmt.Sprintf("fft: input length %d, plan size %d", len(dst), p.n))
 	}
-	// Bit-reversal permutation.
+	if kernelsEnabled && p.passTw != nil {
+		p.kernelTransform(dst, src, inverse)
+		return
+	}
+	if src != nil {
+		copy(dst, src)
+	}
+	p.transform(dst, inverse)
+}
+
+// permute applies the bit-reversal permutation in place.
+func (p *Plan) permute(x []complex128) {
 	for i, j := range p.rev {
 		if i < j {
 			x[i], x[j] = x[j], x[i]
 		}
 	}
+}
+
+// transform is the scalar reference implementation: the only definition of
+// the arithmetic, which the kernels reproduce bit for bit.
+func (p *Plan) transform(x []complex128, inverse bool) {
+	n := p.n
+	p.permute(x)
 	// Iterative Cooley-Tukey butterflies, twiddle table chosen once per
 	// direction (twiddleInv holds the conjugates the inverse pass needs).
 	// Stages run two at a time: fusing a stage pair keeps the four involved
@@ -195,16 +243,16 @@ func DFT(x []complex128) []complex128 {
 		return nil
 	}
 	if n&(n-1) == 0 {
-		out := append([]complex128(nil), x...)
-		planCache(n).Forward(out)
+		out := make([]complex128, n)
+		MustPlan(n).ForwardFrom(out, x)
 		return out
 	}
 	if isSmooth(n) {
 		out := make([]complex128, n)
-		smoothCache(n).forwardInto(out, x, 0, 1)
+		smooths.get(n, newSmoothPlan).forwardInto(out, x, 0, 1)
 		return out
 	}
-	return bluesteinCache(n).forward(x)
+	return bluesteins.get(n, newBluestein).forward(x)
 }
 
 // IDFT computes the inverse DFT (scaled by 1/N) of x at any length.
@@ -229,7 +277,7 @@ func WorkLen(n int) int {
 	if isSmooth(n) {
 		return n
 	}
-	return bluesteinCache(n).m
+	return bluesteins.get(n, newBluestein).m
 }
 
 // DFTInto computes the forward DFT of src into dst without allocating:
@@ -244,8 +292,7 @@ func DFTInto(dst, src, work []complex128) {
 		return
 	}
 	if n&(n-1) == 0 {
-		copy(dst, src)
-		planCache(n).Forward(dst)
+		MustPlan(n).ForwardFrom(dst, src)
 		return
 	}
 	if isSmooth(n) {
@@ -254,11 +301,11 @@ func DFTInto(dst, src, work []complex128) {
 		}
 		// Stage through work: the recursion is out-of-place and dst may
 		// alias src.
-		smoothCache(n).forwardInto(work[:n], src, 0, 1)
+		smooths.get(n, newSmoothPlan).forwardInto(work[:n], src, 0, 1)
 		copy(dst, work)
 		return
 	}
-	b := bluesteinCache(n)
+	b := bluesteins.get(n, newBluestein)
 	if len(work) < b.m {
 		panic(fmt.Sprintf("fft: DFTInto work length %d, want %d", len(work), b.m))
 	}

@@ -220,20 +220,35 @@ func TestDFTLinearity(t *testing.T) {
 	}
 }
 
+// TestCacheConcurrency hammers the lock-free plan caches (run under -race in
+// CI): steady-state hits on the chain's sizes, plus goroutines released
+// together onto sizes no other test uses, so the first-use publish itself
+// races. Every goroutine must end up with the one published plan per size.
 func TestCacheConcurrency(t *testing.T) {
-	done := make(chan bool)
-	for g := 0; g < 8; g++ {
+	const workers = 8
+	fresh := []int{1 << 13, 1350, 1201} // radix-2, 5-smooth, Bluestein
+	start := make(chan struct{})
+	got := make(chan [3]any, workers)
+	for g := 0; g < workers; g++ {
 		go func(seed uint64) {
 			r := stats.NewRNG(seed)
+			<-start
+			for _, n := range fresh {
+				_ = DFT(randSignal(r, n))
+			}
 			for i := 0; i < 20; i++ {
 				_ = DFT(randSignal(r, 600))
 				_ = DFT(randSignal(r, 1024))
 			}
-			done <- true
+			got <- [3]any{MustPlan(fresh[0]), smooths.get(fresh[1], newSmoothPlan), bluesteins.get(fresh[2], newBluestein)}
 		}(uint64(g))
 	}
-	for g := 0; g < 8; g++ {
-		<-done
+	close(start)
+	first := <-got
+	for g := 1; g < workers; g++ {
+		if next := <-got; next != first {
+			t.Fatalf("goroutines hold different plans for one size: %v vs %v", next, first)
+		}
 	}
 }
 

@@ -161,19 +161,18 @@ func (tx *DLTransmitter) Transmit(payload []byte) ([]complex128, error) {
 	out := make([]complex128, 0, bw.SamplesPerSubframe())
 	si, pi := 0, 0
 	for l := 0; l < lte.SymbolsPerSubframe; l++ {
-		grid := make([]complex128, n)
-		for k := 0; k < m; k++ {
-			bin := subcarrierBin(k, m, n)
+		row := make([]complex128, m)
+		for k := range row {
 			if isCRS(tx.cfg.CellID, l, k) {
-				grid[bin] = tx.crs[pi]
+				row[k] = tx.crs[pi]
 				pi++
 			} else {
-				grid[bin] = syms[si]
+				row[k] = syms[si]
 				si++
 			}
 		}
 		tdom := make([]complex128, n)
-		copy(tdom, grid)
+		placeSubcarriers(tdom, row)
 		tx.plan.Inverse(tdom)
 		for i := range tdom {
 			tdom[i] *= complex(sqrtN, 0)
@@ -257,23 +256,17 @@ func (rx *DLReceiver) Process(iq [][]complex128, n0 float64) (Result, error) {
 
 	// OFDM demodulation into the grid.
 	grid := make([][][]complex128, rx.cfg.Antennas)
+	buf := make([]complex128, n)
 	for a := range grid {
 		if len(iq[a]) != bw.SamplesPerSubframe() {
 			return Result{}, fmt.Errorf("phy: antenna %d has %d samples", a, len(iq[a]))
 		}
 		grid[a] = make([][]complex128, lte.SymbolsPerSubframe)
 		pos := 0
-		scale := complex(1/math.Sqrt(float64(n)), 0)
-		for l := 0; l < lte.SymbolsPerSubframe; l++ {
+		for l := range grid[a] {
 			pos += bw.CPLen(l)
-			buf := make([]complex128, n)
-			copy(buf, iq[a][pos:pos+n])
-			rx.plan.Forward(buf)
-			row := make([]complex128, m)
-			for k := 0; k < m; k++ {
-				row[k] = buf[subcarrierBin(k, m, n)] * scale
-			}
-			grid[a][l] = row
+			grid[a][l] = make([]complex128, m)
+			demodulateOFDM(rx.plan, iq[a][pos:pos+n], buf, grid[a][l])
 			pos += n
 		}
 	}

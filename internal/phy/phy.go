@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 
+	"rtopex/internal/fft"
 	"rtopex/internal/lte"
 	"rtopex/internal/modulation"
 	"rtopex/internal/sequence"
@@ -72,10 +73,30 @@ const (
 	dmrsSymbol2 = 10
 )
 
-// subcarrierBin maps occupied-subcarrier index k (0..M-1) to an FFT bin,
-// centering the allocation around DC.
-func subcarrierBin(k, m, fftSize int) int {
-	return (k - m/2 + fftSize) % fftSize
+// placeSubcarriers writes the M occupied subcarriers sc into the N FFT bins,
+// centred on DC: in subcarrier order the lower M/2 land in the top bins
+// [N−M/2, N) and the rest in [0, M−M/2) — two contiguous runs, which
+// demodulateOFDM reads back the same way.
+func placeSubcarriers(bins, sc []complex128) {
+	lo := len(sc) / 2
+	copy(bins[len(bins)-lo:], sc[:lo])
+	copy(bins, sc[lo:])
+}
+
+// demodulateOFDM turns one OFDM symbol's N time samples (cyclic prefix
+// already stripped) into its occupied subcarriers: forward transform into
+// the caller's N-bin buf, then the 1/√N-scaled bins extracted into row.
+// samples is only read, so it can be a window of the antenna's IQ stream.
+func demodulateOFDM(plan *fft.Plan, samples, buf, row []complex128) {
+	plan.ForwardFrom(buf, samples)
+	scale := complex(1/math.Sqrt(float64(len(buf))), 0)
+	lo := len(row) / 2
+	for k, v := range buf[len(buf)-lo:] {
+		row[k] = v * scale
+	}
+	for k, v := range buf[:len(row)-lo] {
+		row[lo+k] = v * scale
+	}
 }
 
 // pilotSequence returns the unit-magnitude QPSK DM-RS for a cell: one entry

@@ -1,6 +1,9 @@
 package phy
 
 import (
+	"bytes"
+	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -79,7 +82,27 @@ func TestPoolZeroAndSingleWork(t *testing.T) {
 // ProcessParallel must produce exactly the Result of the serial Process —
 // payload bits, CRC verdicts, and per-block iteration counts. Run under
 // -race in CI, this also shakes out data races between stage subtasks.
+//
+// The grid runs once per FFT path (AVX2 kernels, scalar transform), and the
+// serial Results of the two paths must be identical as well.
 func TestParallelMatchesSerialGrid(t *testing.T) {
+	var perPath [][]Result
+	eachFFTPath(t, func(t *testing.T) { perPath = append(perPath, parallelSerialGrid(t)) })
+	if len(perPath) < 2 {
+		return
+	}
+	for i, want := range perPath[0] {
+		got := perPath[1][i]
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("case %d: scalar-FFT result %+v differs from kernel-FFT result %+v", i, got, want)
+		}
+	}
+}
+
+// parallelSerialGrid runs the grid on the current FFT path and returns a
+// copy of every serial Result in grid order.
+func parallelSerialGrid(t *testing.T) []Result {
+	var results []Result
 	type gridPoint struct {
 		mcs, antennas int
 		snrDB         float64
@@ -147,8 +170,16 @@ func TestParallelMatchesSerialGrid(t *testing.T) {
 						got.BlockOK[r], got.BlockIterations[r], want.BlockOK[r], want.BlockIterations[r])
 				}
 			}
+			results = append(results, Result{
+				Payload:         bytes.Clone(want.Payload),
+				OK:              want.OK,
+				BlockOK:         slices.Clone(want.BlockOK),
+				BlockIterations: slices.Clone(want.BlockIterations),
+				Iterations:      want.Iterations,
+			})
 		}
 	}
+	return results
 }
 
 // TestProcessAllocFree: the steady-state serial hot path must not allocate.
@@ -235,15 +266,23 @@ func TestArenaRecycledReceiverDecodes(t *testing.T) {
 	cfg := testConfig(21, 2)
 	tx, _ := NewTransmitter(cfg)
 	ch, _ := channel.New(30, 2, 650)
-	for round := 0; round < 3; round++ {
-		payload := randomPayload(t, tx, uint64(660+round))
-		wave, _ := tx.Transmit(payload)
-		iq, _ := ch.Apply(wave)
+	// Synthesize every round's subframe first: the Get/Process/Put loop
+	// below then allocates nothing, so no collection empties the pool
+	// between a Put and the next Get and the hit assertion stops flaking.
+	const rounds = 3
+	var payloads [rounds][]byte
+	var iqs [rounds][][]complex128
+	for round := range payloads {
+		payloads[round] = randomPayload(t, tx, uint64(660+round))
+		wave, _ := tx.Transmit(payloads[round])
+		iqs[round], _ = ch.Apply(wave)
+	}
+	for round, payload := range payloads {
 		rx, err := a.Get(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := rx.Process(iq, ch.N0())
+		res, err := rx.Process(iqs[round], ch.N0())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -293,18 +293,9 @@ func (rx *Receiver) Pipeline(iq [][]complex128, n0 float64) ([]Stage, error) {
 
 // fftSymbol demodulates OFDM symbol l of antenna a into the subcarrier grid.
 func (rx *Receiver) fftSymbol(a, l int) {
-	bw := rx.cfg.Bandwidth
-	n := bw.FFTSize
-	m := bw.Subcarriers()
 	start := rx.symbolStart[l]
-	buf := rx.fftBufs[a*lte.SymbolsPerSubframe+l]
-	copy(buf, rx.curIQ[a][start:start+n])
-	rx.plan.Forward(buf)
-	scale := complex(1/math.Sqrt(float64(n)), 0)
-	dst := rx.grid[a][l]
-	for k := 0; k < m; k++ {
-		dst[k] = buf[subcarrierBin(k, m, n)] * scale
-	}
+	demodulateOFDM(rx.plan, rx.curIQ[a][start:start+rx.cfg.Bandwidth.FFTSize],
+		rx.fftBufs[a*lte.SymbolsPerSubframe+l], rx.grid[a][l])
 }
 
 // chEstSmoothing is the one-sided width of the frequency-domain boxcar

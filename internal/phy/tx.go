@@ -118,26 +118,23 @@ func (tx *Transmitter) buildWaveform(codeword []byte) ([]complex128, error) {
 	sqrtN := math.Sqrt(float64(n))
 	dataIdx := 0
 	for l := 0; l < 14; l++ {
-		grid := make([]complex128, n)
+		// The subcarrier grid, transformed in place into the time domain.
+		tdom := make([]complex128, n)
 		switch l {
 		case dmrsSymbol1, dmrsSymbol2:
-			for k := 0; k < m; k++ {
-				grid[subcarrierBin(k, m, n)] = tx.pilot[k]
-			}
+			placeSubcarriers(tdom, tx.pilot)
 		default:
 			// SC-FDMA transform precoding: DFT of the symbol's M
 			// constellation points, normalized to unit subcarrier power.
-			block := syms[dataIdx*m : (dataIdx+1)*m]
-			pre := fft.DFT(block)
-			for k := 0; k < m; k++ {
-				grid[subcarrierBin(k, m, n)] = pre[k] / complex(sqrtM, 0)
+			pre := fft.DFT(syms[dataIdx*m : (dataIdx+1)*m])
+			for k := range pre {
+				pre[k] /= complex(sqrtM, 0)
 			}
+			placeSubcarriers(tdom, pre)
 			dataIdx++
 		}
 		// OFDM modulation with √N scaling so the receiver's FFT/√N
 		// recovers unit-power subcarriers.
-		tdom := make([]complex128, n)
-		copy(tdom, grid)
 		tx.plan.Inverse(tdom)
 		for i := range tdom {
 			tdom[i] *= complex(sqrtN, 0)

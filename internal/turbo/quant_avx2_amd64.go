@@ -1,5 +1,7 @@
 package turbo
 
+import "rtopex/internal/cpu"
+
 // Kernel bindings for the AVX2 radix-4 stepper (quant_avx2_amd64.s).
 
 // forwardStepsAVX2 runs n unguarded forward trellis stages: stage j reads
@@ -18,9 +20,6 @@ func forwardStepsAVX2(rows *int16, qg0 *int16, qg1 *int16, n int, av *[8]int32)
 //go:noescape
 func backwardLLRAVX2(rows *int16, qg0 *int16, qg1 *int16, n int, bv *[8]int32, le *int16, hard *byte)
 
-// cpuSupportsAVX2 probes CPUID (including OS XSAVE state) for AVX2.
-func cpuSupportsAVX2() bool
-
 // radix4HW reports hardware support for the fused kernels. Split from
 // radix4Enabled so tests can force the scalar fallback.
-var radix4HW = cpuSupportsAVX2()
+var radix4HW = cpu.AVX2
