@@ -24,9 +24,9 @@ TRACKED_BENCHES = { \
 	$(GO) test -bench='BenchmarkFlightRecorder' -benchtime=$(FLIGHT_BENCHTIME) -run='^$$' ./internal/harness; \
 	$(GO) test -bench='BenchmarkScrapeEvaluate' -benchtime=$(HISTORY_BENCHTIME) -run='^$$' ./internal/harness; }
 
-.PHONY: ci build build-arm64 test vet race fmt-check bench-test bench bench-all bench-check trace-demo sweep-check sweep-check-full baselines baselines-full obs-smoke fleet-smoke flight-smoke slo-smoke profile-phy phy-speedup
+.PHONY: ci build build-arm64 test vet race fmt-check unlinked bench-test bench bench-all bench-check trace-demo sweep-check sweep-check-full baselines baselines-full obs-smoke fleet-smoke flight-smoke slo-smoke profile-phy phy-speedup
 
-ci: vet build build-arm64 race bench-test fmt-check sweep-check bench-check phy-speedup obs-smoke fleet-smoke flight-smoke slo-smoke
+ci: vet build build-arm64 race bench-test fmt-check unlinked sweep-check bench-check phy-speedup obs-smoke fleet-smoke flight-smoke slo-smoke
 
 build:
 	$(GO) build ./...
@@ -56,6 +56,13 @@ fmt-check:
 	if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
+
+# unlinked enforces the reachability rule: every function the root package
+# and internal/* declare is linked into some cmd/*, examples/* or bench
+# binary, or is listed in scripts/unlinked.allow with the surviving test
+# that needs it as an oracle or fixture. Deterministic, so a hard gate.
+unlinked:
+	sh scripts/unlinked.sh
 
 # bench tracks the perf-critical hot paths — the sweep worker pool
 # (shards/s), the event engine (events/s) and the schedulers on it

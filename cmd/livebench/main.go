@@ -4,9 +4,10 @@
 // pinned-pthread testbed.
 //
 // The subframe clock is dilated (default 50×: one "1 ms" subframe every
-// 50 ms) because the unvectorized Go chain decodes an MCS-27 subframe in
-// tens of milliseconds. The scheduling geometry — core mapping, utilization
-// ratio, slack fractions — is preserved.
+// 50 ms). The default dates from the scalar chain's tens of milliseconds
+// per MCS-27 subframe; the chain now takes ≈ 1.2–1.9 ms, so -dilation 2
+// already holds the deadline on an idle host. The scheduling geometry —
+// core mapping, utilization ratio, slack fractions — is preserved.
 //
 // With -http the run carries the full observability surface: /metrics,
 // pprof, /healthz+/readyz probes, the flight recorder's /dossiers, and the
@@ -54,23 +55,10 @@ func main() {
 		flightDir = flag.String("flight", "", "arm the deadline-miss flight recorder and spool dossiers into this directory")
 		shipAddr  = flag.String("flight-ship", "", "ship spooled dossiers to this daemon's /dossiers/push (default: the -push address)")
 		token     = flag.String("auth-token", "", "bearer token for -flight-ship (default $RTOPEX_AUTH_TOKEN)")
-
-		histStep   = flag.Duration("history-step", time.Second, "history scrape interval (0 disables the time-series store)")
-		histKeep   = flag.Duration("history-retention", 15*time.Minute, "history retention per series")
-		sloFast    = flag.Duration("slo-fast", 0, "override the fast burn window for every -slo objective (default window/12)")
-		sloSlow    = flag.Duration("slo-slow", 0, "override the slow burn window for every -slo objective (default the SLO window)")
-		sloPend    = flag.Duration("slo-pending", 0, "how long burn must persist before an alert fires")
-		linger     = flag.Duration("linger", 0, "keep serving -http for this long after the run finishes (inspection/smoke)")
-		objectives []obs.Objective
+		linger    = flag.Duration("linger", 0, "keep serving -http for this long after the run finishes (inspection/smoke)")
 	)
-	flag.Func("slo", "declarative objective, e.g. 'miss_rate: errs / total <= 0.1% over 5m' (repeatable)", func(spec string) error {
-		o, err := obs.ParseObjective(spec)
-		if err != nil {
-			return err
-		}
-		objectives = append(objectives, o)
-		return nil
-	})
+	hist := obs.HistoryFlags(nil, time.Second, 15*time.Minute)
+	hist.SLOFlags()
 	logCfg := obs.LogFlags(nil)
 	flag.Parse()
 
@@ -113,18 +101,10 @@ func main() {
 		db  *obs.TSDB
 		slo *obs.SLOEngine
 	)
-	if *histStep > 0 {
-		db = obs.NewTSDB(obs.TSDBConfig{Step: *histStep, Retention: *histKeep})
+	objectives := hist.Objectives()
+	if hist.TSDB.Step > 0 {
+		db = obs.NewTSDB(hist.TSDB)
 		if len(objectives) > 0 {
-			for i := range objectives {
-				if *sloFast > 0 {
-					objectives[i].FastWindow = *sloFast
-				}
-				if *sloSlow > 0 {
-					objectives[i].SlowWindow = *sloSlow
-				}
-				objectives[i].Pending = *sloPend
-			}
 			slo = obs.NewSLOEngine(db, objectives...)
 			if rec != nil {
 				slo.SetDossierSource(rec)

@@ -63,22 +63,9 @@ func main() {
 		addrFile   = flag.String("addr-file", "", "write the bound address to this file once listening (for scripts)")
 		token      = flag.String("auth-token", "", "require this bearer token on every endpoint (default $RTOPEX_AUTH_TOKEN)")
 		quiet      = flag.Bool("quiet", false, "suppress per-source log lines")
-
-		histStep   = flag.Duration("history-step", 2*time.Second, "history scrape interval (0 disables the time-series store)")
-		histKeep   = flag.Duration("history-retention", time.Hour, "history retention per series")
-		sloFast    = flag.Duration("slo-fast", 0, "override the fast burn window for every -slo objective (default window/12)")
-		sloSlow    = flag.Duration("slo-slow", 0, "override the slow burn window for every -slo objective (default the SLO window)")
-		sloPend    = flag.Duration("slo-pending", 0, "how long burn must persist before an alert fires")
-		objectives []obs.Objective
 	)
-	flag.Func("slo", "declarative objective over merged fleet counters, e.g. 'miss_rate: errs / total <= 0.1% over 1h' (repeatable)", func(spec string) error {
-		o, err := obs.ParseObjective(spec)
-		if err != nil {
-			return err
-		}
-		objectives = append(objectives, o)
-		return nil
-	})
+	hist := obs.HistoryFlags(nil, 2*time.Second, time.Hour)
+	hist.SLOFlags()
 	logCfg := obs.LogFlags(nil)
 	flag.Parse()
 
@@ -99,18 +86,10 @@ func main() {
 	// every -history-step, with -slo objectives evaluated over the merge
 	// and firing alerts cross-linking the ingested dossiers.
 	var history *obs.FleetHistory
-	if *histStep > 0 {
-		for i := range objectives {
-			if *sloFast > 0 {
-				objectives[i].FastWindow = *sloFast
-			}
-			if *sloSlow > 0 {
-				objectives[i].SlowWindow = *sloSlow
-			}
-			objectives[i].Pending = *sloPend
-		}
+	objectives := hist.Objectives()
+	if hist.TSDB.Step > 0 {
 		history = obs.NewFleetHistory(col, obs.FleetHistoryConfig{
-			TSDB:       obs.TSDBConfig{Step: *histStep, Retention: *histKeep},
+			TSDB:       hist.TSDB,
 			Objectives: objectives,
 			Dossiers:   dossiers,
 		})

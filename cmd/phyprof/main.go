@@ -28,10 +28,8 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		if !errors.Is(err, flag.ErrHelp) {
-			fmt.Fprintf(os.Stderr, "phyprof: %v\n", err)
-		}
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintf(os.Stderr, "phyprof: %v\n", err)
 		os.Exit(1)
 	}
 }

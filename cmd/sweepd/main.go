@@ -60,8 +60,6 @@ func main() {
 		linger     = flag.Duration("linger", 2*time.Second, "keep serving 'done' responses this long after the sweep resolves so idle workers exit cleanly")
 		dossierDir = flag.String("dossier-dir", "", "flush dossiers shipped by workers to this directory on exit")
 		quiet      = flag.Bool("quiet", false, "suppress per-lease log lines")
-		histStep   = flag.Duration("history-step", 2*time.Second, "lease/ingest history scrape interval (0 disables /api history)")
-		histKeep   = flag.Duration("history-retention", time.Hour, "history retention per series")
 
 		exp       = flag.String("exp", "", "comma-separated experiment ids (default: whole registry)")
 		all       = flag.Bool("all", false, "sweep every registered experiment (the default when -exp is empty)")
@@ -78,6 +76,7 @@ func main() {
 		tolSpecs = append(tolSpecs, s)
 		return nil
 	})
+	hist := obs.HistoryFlags(nil, 2*time.Second, time.Hour)
 	logCfg := obs.LogFlags(nil)
 	flag.Parse()
 	_ = all // -all is the default; the flag exists for symmetry with rtopex
@@ -155,8 +154,8 @@ func main() {
 	// Lease/ingest history: the coordinator's own registry (leases,
 	// reclaims, completions, worker liveness) sampled into a TSDB so the
 	// fleet's churn is queryable over windows, not just cumulatively.
-	if *histStep > 0 {
-		db := obs.NewTSDB(obs.TSDBConfig{Step: *histStep, Retention: *histKeep})
+	if hist.TSDB.Step > 0 {
+		db := obs.NewTSDB(hist.TSDB)
 		scraper := obs.StartScraper(obs.ScraperConfig{
 			DB:       db,
 			Snapshot: coord.Registry().Snapshot,

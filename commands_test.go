@@ -1,0 +1,63 @@
+package rtopex
+
+import (
+	"errors"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// TestCommandsStartAndPrintUsage builds every cmd/* binary and runs its
+// -h: each must print its usage and exit cleanly (a flag registered twice
+// panics at start-up), and the daemons that share obs.HistoryFlags must
+// still list the history and SLO flags with their own defaults.
+func TestCommandsStartAndPrintUsage(t *testing.T) {
+	dir := t.TempDir()
+	if out, err := exec.Command("go", "build", "-o", dir+string(filepath.Separator), "./cmd/...").CombinedOutput(); err != nil {
+		t.Fatalf("go build ./cmd/...: %v\n%s", err, out)
+	}
+	slo := []string{"slo", "slo-fast", "slo-slow", "slo-pending"}
+	for _, tc := range []struct {
+		cmd             string
+		step, retention string // -history-step/-history-retention defaults; "" when absent
+		flags           []string
+	}{
+		{cmd: "benchjson"},
+		{cmd: "livebench", step: "1s", retention: "15m0s", flags: slo},
+		{cmd: "obscollect", step: "2s", retention: "1h0m0s", flags: slo},
+		{cmd: "phyprof"},
+		{cmd: "rtopex"},
+		{cmd: "rtoptrace"},
+		{cmd: "sweepd", step: "2s", retention: "1h0m0s"},
+		{cmd: "sweepworker"},
+		{cmd: "tracegen"},
+	} {
+		out, err := exec.Command(filepath.Join(dir, tc.cmd), "-h").CombinedOutput()
+		var exit *exec.ExitError
+		if err != nil && !(errors.As(err, &exit) && exit.ExitCode() == 2) {
+			t.Errorf("%s -h: %v\n%s", tc.cmd, err, out)
+			continue
+		}
+		usage := string(out)
+		if !strings.Contains(usage, "Usage") || strings.Contains(usage, "flag redefined") {
+			t.Errorf("%s -h printed no clean usage:\n%s", tc.cmd, usage)
+		}
+		for name, def := range map[string]string{"history-step": tc.step, "history-retention": tc.retention} {
+			if def != "" && !regexp.MustCompile(`(?m)^  -`+name+` duration\n.*\(default `+def+`\)$`).MatchString(usage) {
+				t.Errorf("%s -h does not list -%s with default %s", tc.cmd, name, def)
+			}
+		}
+		for _, name := range tc.flags {
+			if !strings.Contains(usage, "\n  -"+name+" ") {
+				t.Errorf("%s -h does not list -%s", tc.cmd, name)
+			}
+		}
+	}
+	for _, args := range [][]string{{"tracegen", "-n", "10", "-stats"}, {"rtopex", "-list"}} {
+		if out, err := exec.Command(filepath.Join(dir, args[0]), args[1:]...).CombinedOutput(); err != nil {
+			t.Errorf("%v: %v\n%s", args, err, out)
+		}
+	}
+}

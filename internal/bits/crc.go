@@ -1,6 +1,6 @@
 // Package bits implements the bit-level utilities of the LTE L1 chain:
-// transport-block CRC attachment (CRC24A), code-block CRC (CRC24B), the
-// 16-bit CRC used on control channels, and bit/byte packing helpers.
+// transport-block CRC attachment (CRC24A), code-block CRC (CRC24B), and
+// bit-slice helpers.
 //
 // All CRC generators follow 3GPP TS 36.212 §5.1.1: cyclic generator
 // polynomials applied to the bit sequence MSB-first with zero initial state
@@ -17,18 +17,15 @@ const (
 	polyCRC24A = 0x864CFB
 	// polyCRC24B = x^24 + x^23 + x^6 + x^5 + x + 1
 	polyCRC24B = 0x800063
-	// polyCRC16 = x^16 + x^12 + x^5 + 1
-	polyCRC16 = 0x1021
 )
 
-// crcTables holds byte-at-a-time lookup tables for the three generators,
+// crcTables holds byte-at-a-time lookup tables for the two generators,
 // built on first use. table[i] is the remainder of processing the 8 bits of
 // i (MSB-first) through a zeroed register — CRC linearity over GF(2) makes
 // the byte-wise update below produce exactly the bit-serial remainder.
 var crcTables = map[uint32]*[256]uint32{
 	polyCRC24A: buildCRCTable(polyCRC24A, 24),
 	polyCRC24B: buildCRCTable(polyCRC24B, 24),
-	polyCRC16:  buildCRCTable(polyCRC16, 16),
 }
 
 func buildCRCTable(poly uint32, width uint) *[256]uint32 {
@@ -84,9 +81,6 @@ func CRC24A(data []byte) uint32 { return crcBits(data, polyCRC24A, 24) }
 
 // CRC24B computes the 24-bit code-block CRC of a 0/1 bit slice.
 func CRC24B(data []byte) uint32 { return crcBits(data, polyCRC24B, 24) }
-
-// CRC16 computes the 16-bit CRC of a 0/1 bit slice.
-func CRC16(data []byte) uint32 { return crcBits(data, polyCRC16, 16) }
 
 // AppendCRC appends the width-bit value MSB-first to data as 0/1 bits and
 // returns the extended slice.

@@ -31,14 +31,6 @@ func TestCRC24AKnownVector(t *testing.T) {
 	}
 }
 
-func TestCRC16Known(t *testing.T) {
-	msg := make([]byte, 16)
-	msg[15] = 1
-	if got := CRC16(msg); got != 0x1021 {
-		t.Fatalf("CRC16(x^16 impulse) = %#x, want %#x", got, 0x1021)
-	}
-}
-
 func TestAppendAndCheckRoundTrip(t *testing.T) {
 	r := stats.NewRNG(1)
 	for _, n := range []int{1, 7, 40, 100, 1000, 6144} {
@@ -130,35 +122,6 @@ func TestCRCLinearity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBytesBitsRoundTrip(t *testing.T) {
-	f := func(data []byte) bool {
-		bitSlice := BytesToBits(data)
-		if len(bitSlice) != 8*len(data) {
-			return false
-		}
-		back := BitsToBytes(bitSlice)
-		if len(back) != len(data) {
-			return false
-		}
-		for i := range data {
-			if back[i] != data[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBitsToBytesPadding(t *testing.T) {
-	got := BitsToBytes([]byte{1, 0, 1}) // 101 -> 1010_0000
-	if len(got) != 1 || got[0] != 0xA0 {
-		t.Fatalf("BitsToBytes padding wrong: %#v", got)
 	}
 }
 

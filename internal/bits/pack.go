@@ -1,29 +1,5 @@
 package bits
 
-// BytesToBits expands packed bytes into one bit per byte, MSB first. The
-// result has exactly 8*len(data) entries of value 0 or 1.
-func BytesToBits(data []byte) []byte {
-	out := make([]byte, 0, 8*len(data))
-	for _, b := range data {
-		for i := 7; i >= 0; i-- {
-			out = append(out, (b>>uint(i))&1)
-		}
-	}
-	return out
-}
-
-// BitsToBytes packs a 0/1 bit slice MSB-first into bytes. If the length is
-// not a multiple of 8, the final byte is zero-padded on the right.
-func BitsToBytes(bitSlice []byte) []byte {
-	out := make([]byte, (len(bitSlice)+7)/8)
-	for i, b := range bitSlice {
-		if b&1 != 0 {
-			out[i/8] |= 1 << uint(7-i%8)
-		}
-	}
-	return out
-}
-
 // XORBits returns a ^ b elementwise over 0/1 slices. It panics if lengths
 // differ, since a length mismatch in the chain is always a programming error.
 func XORBits(a, b []byte) []byte {

@@ -501,9 +501,6 @@ func (c *Coordinator) Fail(req FailRequest) (FailResponse, error) {
 	return FailResponse{Status: StatusFailed}, nil
 }
 
-// Done is closed once every unit is resolved (done or permanently failed).
-func (c *Coordinator) Done() <-chan struct{} { return c.doneCh }
-
 // Wait blocks until the sweep resolves or the timeout elapses (≤ 0 waits
 // forever).
 func (c *Coordinator) Wait(timeout time.Duration) error {

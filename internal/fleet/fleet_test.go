@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
@@ -203,7 +205,7 @@ func TestDeadWorkerReleased(t *testing.T) {
 		t.Fatalf("completion: %v %+v", err, cr)
 	}
 	select {
-	case <-c.Done():
+	case <-c.doneCh:
 	default:
 		t.Fatal("sweep should be resolved")
 	}
@@ -472,7 +474,7 @@ func TestCoordinatorResume(t *testing.T) {
 		t.Fatalf("resume summary %+v, want everything reused", s)
 	}
 	select {
-	case <-c.Done():
+	case <-c.doneCh:
 	default:
 		t.Fatal("fully-resumed sweep should be born resolved")
 	}
@@ -620,6 +622,36 @@ func TestWorkerRejectsWrongToken(t *testing.T) {
 	}
 	if s := c.Summary(); s.Leases != 0 {
 		t.Fatalf("unauthenticated request reached the coordinator: %+v", s)
+	}
+}
+
+// TestWorkerPostRetries5xx: a 503 from the coordinator is retried under the
+// worker's RetryPolicy, every attempt carrying the same request bytes.
+func TestWorkerPostRetries5xx(t *testing.T) {
+	var bodies []string
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		bodies = append(bodies, string(body))
+		if len(bodies) <= 2 {
+			http.Error(w, "restarting", http.StatusServiceUnavailable)
+			return
+		}
+		_ = json.NewEncoder(w).Encode(LeaseResponse{Status: StatusDone})
+	}))
+	defer srv.Close()
+	slept := 0
+	w := &worker{
+		cfg:    WorkerConfig{Retry: obs.RetryPolicy{Attempts: 5, Sleep: func(time.Duration) { slept++ }}},
+		base:   srv.URL,
+		client: srv.Client(),
+		name:   "w",
+	}
+	var resp LeaseResponse
+	if err := w.post(LeasePath, LeaseRequest{Protocol: ProtocolVersion, Worker: "w"}, &resp); err != nil || resp.Status != StatusDone {
+		t.Fatalf("post through two 503s: %v %+v", err, resp)
+	}
+	if slept != 2 || len(bodies) != 3 || bodies[0] == "" || bodies[1] != bodies[0] || bodies[2] != bodies[0] {
+		t.Fatalf("%d backoffs, bodies %q; want 2 backoffs and three identical requests", slept, bodies)
 	}
 }
 

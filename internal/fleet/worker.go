@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -78,14 +76,9 @@ type worker struct {
 // returns when the sweep is resolved or a request fails permanently
 // (auth rejection, protocol skew, coordinator gone past the retry budget).
 func RunWorker(cfg WorkerConfig) (*WorkerResult, error) {
-	base := cfg.Coordinator
-	if base == "" {
+	if cfg.Coordinator == "" {
 		return nil, fmt.Errorf("fleet: worker needs a coordinator address")
 	}
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	base = strings.TrimSuffix(base, "/")
 	name := cfg.Name
 	if name == "" {
 		name = obs.DefaultSource().ID
@@ -99,15 +92,15 @@ func RunWorker(cfg WorkerConfig) (*WorkerResult, error) {
 	if cfg.Retry.Logf == nil {
 		cfg.Retry.Logf = cfg.Logf
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: 10 * time.Second}
-	}
 	if cfg.Push != nil && cfg.Obs == nil {
 		return nil, fmt.Errorf("fleet: WorkerConfig.Push requires Obs (the registry being pushed)")
 	}
 
-	w := &worker{cfg: cfg, base: base, client: client, name: name, held: map[string]bool{}}
+	w := &worker{
+		cfg: cfg, name: name, held: map[string]bool{},
+		base:   obs.BaseURL(cfg.Coordinator),
+		client: obs.HTTPClient(cfg.Client, 10*time.Second),
+	}
 
 	stopHB := make(chan struct{})
 	var hbWG sync.WaitGroup
@@ -378,25 +371,6 @@ func (w *worker) post(path string, reqBody any, out any) error {
 	}
 	url := w.base + path
 	return w.cfg.Retry.Do("fleet: "+w.name+" POST "+url, func() error {
-		req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
-		if err != nil {
-			return obs.Permanent(err)
-		}
-		req.Header.Set("Content-Type", "application/json")
-		obs.AuthHeader(req, w.cfg.AuthToken)
-		resp, err := w.client.Do(req)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-			err := fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
-			if resp.StatusCode >= 400 && resp.StatusCode < 500 {
-				return obs.Permanent(err)
-			}
-			return err
-		}
-		return json.NewDecoder(resp.Body).Decode(out)
+		return obs.PostJSON(w.client, url, w.cfg.AuthToken, nil, body, out)
 	})
 }

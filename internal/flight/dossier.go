@@ -147,11 +147,6 @@ type Dossier struct {
 	Metrics *obs.Snapshot `json:"metrics,omitempty"`
 }
 
-// Subframe labels the triggering job as "bs:sf".
-func (d *Dossier) Subframe() string {
-	return fmt.Sprintf("%d:%d", d.TriggerEvent.BS, d.TriggerEvent.Subframe)
-}
-
 // WriteJSON serializes the dossier as one JSON document. Identical dossiers
 // produce byte-identical documents.
 func (d *Dossier) WriteJSON(w io.Writer) error {

@@ -2,8 +2,10 @@ package flight_test
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -176,14 +178,17 @@ func TestShipper(t *testing.T) {
 		t.Fatalf("Sent = %d, want 2", ship.Sent())
 	}
 
-	// A wrong token is a 4xx: permanent, consumed after one round.
+	// A wrong token is a 401: permanent, consumed after one round.
 	var rejects int
 	rejecting := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rejects++
-		http.Error(w, "no", http.StatusForbidden)
+		if got := r.Header.Get(obs.DossierSourceHeader); got != "worker-2" {
+			t.Errorf("%s = %q, want worker-2", obs.DossierSourceHeader, got)
+		}
+		http.Error(w, "no", http.StatusUnauthorized)
 	}))
 	defer rejecting.Close()
-	ship2, err := flight.NewShipper(flight.ShipperConfig{Addr: rejecting.URL, Retry: obs.RetryPolicy{Attempts: 3}})
+	ship2, err := flight.NewShipper(flight.ShipperConfig{Addr: rejecting.URL, Source: "worker-2", Retry: obs.RetryPolicy{Attempts: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,8 +203,9 @@ func TestShipper(t *testing.T) {
 	}
 }
 
-// TestShipperTransient: a transient failure leaves the dossier unshipped
-// for the next call, which then succeeds.
+// TestShipperTransient: a transient failure is retried under the shipper's
+// RetryPolicy with the same bytes; one that outlasts the budget leaves the
+// dossier unshipped for the next call, which then succeeds.
 func TestShipperTransient(t *testing.T) {
 	sp, err := flight.NewSpool(flight.SpoolConfig{Dir: t.TempDir()})
 	if err != nil {
@@ -212,28 +218,37 @@ func TestShipperTransient(t *testing.T) {
 	rec.Close()
 
 	store := obs.NewDossierStore(obs.DossierStoreConfig{})
-	fail := true
+	failNext := 2
+	var bodies []string
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if fail {
+		body, _ := io.ReadAll(r.Body)
+		bodies = append(bodies, string(body))
+		if failNext > 0 {
+			failNext--
 			http.Error(w, "busy", http.StatusServiceUnavailable)
 			return
 		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
 		store.Handler().ServeHTTP(w, r)
 	}))
 	defer srv.Close()
+	slept := 0
 	ship, err := flight.NewShipper(flight.ShipperConfig{
 		Addr:  srv.URL,
-		Retry: obs.RetryPolicy{Attempts: 1},
+		Retry: obs.RetryPolicy{Attempts: 2, Sleep: func(time.Duration) { slept++ }},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sent, err := ship.ShipNew(sp); sent != 0 || err == nil {
-		t.Fatalf("ShipNew under 503 = %d,%v; want 0,error", sent, err)
+	if sent, err := ship.ShipNew(sp); sent != 0 || err == nil || slept != 1 {
+		t.Fatalf("ShipNew under two 503s = %d,%v after %d backoffs; want 0,error after 1", sent, err, slept)
 	}
-	fail = false
-	if sent, err := ship.ShipNew(sp); sent != 1 || err != nil {
-		t.Fatalf("retry ShipNew = %d,%v; want 1,nil", sent, err)
+	failNext = 1
+	if sent, err := ship.ShipNew(sp); sent != 1 || err != nil || slept != 2 {
+		t.Fatalf("retry ShipNew = %d,%v after %d backoffs; want 1,nil after 2", sent, err, slept)
+	}
+	if len(bodies) != 4 || bodies[0] == "" || bodies[3] != bodies[0] || bodies[2] != bodies[0] {
+		t.Fatalf("retries resent different bodies (%d requests)", len(bodies))
 	}
 	if store.Len() != 1 {
 		t.Fatalf("store has %d, want 1", store.Len())

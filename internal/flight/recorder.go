@@ -599,15 +599,3 @@ func (r *evring) push(e trace.Event) {
 	}
 	r.dropped++
 }
-
-// appendTo appends the retained events, oldest first.
-func (r *evring) appendTo(dst []trace.Event) []trace.Event {
-	i := r.head
-	for k := 0; k < r.n; k++ {
-		dst = append(dst, r.buf[i])
-		if i++; i == len(r.buf) {
-			i = 0
-		}
-	}
-	return dst
-}

@@ -1,13 +1,10 @@
 package flight
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"time"
 
@@ -54,28 +51,16 @@ func NewShipper(cfg ShipperConfig) (*Shipper, error) {
 	if cfg.Addr == "" {
 		return nil, fmt.Errorf("flight: shipper needs a daemon address")
 	}
-	base := cfg.Addr
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	base = strings.TrimSuffix(base, "/")
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 5 * time.Second
-	}
 	if cfg.Retry.Attempts < 1 {
 		cfg.Retry.Attempts = 3
 	}
 	if cfg.Retry.Logf == nil {
 		cfg.Retry.Logf = cfg.Logf
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: cfg.Timeout}
-	}
 	return &Shipper{
 		cfg:     cfg,
-		url:     base + obs.DossierPushPath,
-		client:  client,
+		url:     obs.BaseURL(cfg.Addr) + obs.DossierPushPath,
+		client:  obs.HTTPClient(cfg.Client, cfg.Timeout),
 		shipped: map[string]struct{}{},
 	}, nil
 }
@@ -159,29 +144,11 @@ func (s *Shipper) Sent() int64 {
 }
 
 func (s *Shipper) attempt(raw []byte) error {
-	req, err := http.NewRequest(http.MethodPost, s.url, bytes.NewReader(raw))
-	if err != nil {
-		return obs.Permanent(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
+	var header http.Header
 	if s.cfg.Source != "" {
-		req.Header.Set(obs.DossierSourceHeader, s.cfg.Source)
+		header = http.Header{obs.DossierSourceHeader: {s.cfg.Source}}
 	}
-	obs.AuthHeader(req, s.cfg.AuthToken)
-	resp, err := s.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		err := fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
-		if resp.StatusCode >= 400 && resp.StatusCode < 500 {
-			return obs.Permanent(err)
-		}
-		return err
-	}
-	return nil
+	return obs.PostJSON(s.client, s.url, s.cfg.AuthToken, header, raw, nil)
 }
 
 // StartPeriodic ships new dossiers every interval until the returned stop
@@ -190,30 +157,6 @@ func (s *Shipper) StartPeriodic(spool *Spool, interval time.Duration) (stop func
 	if s == nil || spool == nil {
 		return func() {}
 	}
-	if interval <= 0 {
-		interval = 2 * time.Second
-	}
-	done := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				_, _ = s.ShipNew(spool)
-			case <-done:
-				return
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			close(done)
-			<-finished
-			_, _ = s.ShipNew(spool)
-		})
-	}
+	ship := func() { _, _ = s.ShipNew(spool) }
+	return obs.StartTicker(interval, ship, ship)
 }

@@ -74,9 +74,6 @@ func NewSpool(cfg SpoolConfig) (*Spool, error) {
 	return s, nil
 }
 
-// Dir returns the spool directory.
-func (s *Spool) Dir() string { return s.dir }
-
 // Write spools one dossier and returns its path, evicting the oldest
 // dossiers as needed to respect the caps.
 func (s *Spool) Write(d *Dossier) (string, error) {

@@ -2,15 +2,12 @@ package harness
 
 // This file is the per-run trace and metrics sink layer: run one workload
 // under one scheduler with the event-trace layer attached, then export what
-// happened (metrics, engine statistics, per-event trace) as JSON or CSV for
-// offline analysis and for cmd/rtoptrace's timeline rendering.
+// happened (metrics, engine statistics, per-event trace) as JSON for offline
+// analysis and for cmd/rtoptrace's timeline rendering.
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 
 	"rtopex/internal/flight"
 	"rtopex/internal/obs"
@@ -46,14 +43,9 @@ type RunResult struct {
 	Utilization []obs.CoreReport
 }
 
-// TracedRun executes one workload under one scheduler with an event ring of
-// the given capacity attached (ringCap ≤ 0 retains every event) and engine
-// instrumentation enabled.
-func TracedRun(w *sched.Workload, s sched.Scheduler, cores, ringCap int) (*RunResult, error) {
-	return TracedRunObserved(w, s, cores, ringCap, nil, nil)
-}
-
-// TracedRunObserved is TracedRun with an optional live registry and an
+// TracedRunObserved executes one workload under one scheduler with an event
+// ring of the given capacity attached (ringCap ≤ 0 retains every event) and
+// engine instrumentation enabled, plus an optional live registry and an
 // optional flight recorder: the run's trace stream additionally drives a
 // per-core utilization accountant, the engine hook fans out to the
 // registry's event counters, and the finished metrics are published under
@@ -114,55 +106,3 @@ func (r *RunResult) WriteMetricsJSON(w io.Writer) error {
 
 // WriteTraceJSON exports the run's event trace.
 func (r *RunResult) WriteTraceJSON(w io.Writer) error { return r.Log.WriteJSON(w) }
-
-// Sink saves traced runs into a directory, one metrics and one trace file
-// per run.
-type Sink struct {
-	// Dir is the output directory (created if missing).
-	Dir string
-	// CSV switches the export format from JSON (default) to CSV.
-	CSV bool
-}
-
-// Save writes <name>-metrics.<ext> and <name>-trace.<ext> and returns their
-// paths.
-func (s *Sink) Save(name string, r *RunResult) (metricsPath, tracePath string, err error) {
-	if err := os.MkdirAll(s.Dir, 0o755); err != nil {
-		return "", "", err
-	}
-	ext := "json"
-	if s.CSV {
-		ext = "csv"
-	}
-	metricsPath = filepath.Join(s.Dir, fmt.Sprintf("%s-metrics.%s", name, ext))
-	tracePath = filepath.Join(s.Dir, fmt.Sprintf("%s-trace.%s", name, ext))
-	if err := writeFile(metricsPath, func(w io.Writer) error {
-		if s.CSV {
-			return r.Metrics.WriteCSV(w)
-		}
-		return r.WriteMetricsJSON(w)
-	}); err != nil {
-		return "", "", err
-	}
-	if err := writeFile(tracePath, func(w io.Writer) error {
-		if s.CSV {
-			return r.Log.WriteCSV(w)
-		}
-		return r.WriteTraceJSON(w)
-	}); err != nil {
-		return "", "", err
-	}
-	return metricsPath, tracePath, nil
-}
-
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}

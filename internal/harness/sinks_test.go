@@ -2,8 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"rtopex/internal/lte"
@@ -43,7 +41,7 @@ func jitteryWorkload(t *testing.T, subframes int, seed uint64) *sched.Workload {
 // 1000-subframe RT-OPEX run under transport jitter must export a trace
 // containing at least one preempted and one recomputed migration batch.
 func TestTracedRunCapturesMigrationLifecycle(t *testing.T) {
-	res, err := TracedRun(jitteryWorkload(t, 1000, 7), sched.NewRTOPEX(2), 8, 0)
+	res, err := TracedRunObserved(jitteryWorkload(t, 1000, 7), sched.NewRTOPEX(2), 8, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +69,7 @@ func TestTracedRunCapturesMigrationLifecycle(t *testing.T) {
 }
 
 func TestTracedRunRingBounded(t *testing.T) {
-	res, err := TracedRun(jitteryWorkload(t, 200, 7), sched.NewRTOPEX(2), 8, 64)
+	res, err := TracedRunObserved(jitteryWorkload(t, 200, 7), sched.NewRTOPEX(2), 8, 64, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +85,7 @@ func TestTracedRunRingBounded(t *testing.T) {
 // byte-identical metrics and trace documents.
 func TestTracedRunDeterministicExports(t *testing.T) {
 	export := func() ([]byte, []byte) {
-		res, err := TracedRun(jitteryWorkload(t, 300, 5), sched.NewRTOPEX(2), 8, 0)
+		res, err := TracedRunObserved(jitteryWorkload(t, 300, 5), sched.NewRTOPEX(2), 8, 0, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,45 +105,5 @@ func TestTracedRunDeterministicExports(t *testing.T) {
 	}
 	if !bytes.Equal(t1, t2) {
 		t.Fatal("trace exports differ between identical runs")
-	}
-}
-
-func TestSinkSaveRoundTrip(t *testing.T) {
-	res, err := TracedRun(jitteryWorkload(t, 100, 7), sched.NewRTOPEX(2), 8, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	for _, csv := range []bool{false, true} {
-		s := &Sink{Dir: filepath.Join(dir, map[bool]string{false: "json", true: "csv"}[csv]), CSV: csv}
-		mPath, tPath, err := s.Save("demo", res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range []string{mPath, tPath} {
-			fi, err := os.Stat(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fi.Size() == 0 {
-				t.Fatalf("%s is empty", p)
-			}
-		}
-		if csv {
-			continue
-		}
-		// The JSON trace must parse back into the same event count.
-		f, err := os.Open(tPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		log, err := trace.ReadEventLog(f)
-		f.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(log.Events) != len(res.Log.Events) {
-			t.Fatalf("reloaded %d events, want %d", len(log.Events), len(res.Log.Events))
-		}
 	}
 }

@@ -29,9 +29,6 @@ const (
 	// MaxMCS supported for PUSCH data in this reproduction (the paper
 	// sweeps 0–27).
 	MaxMCS = 27
-	// HARQDeadlineSubframes: an uplink subframe N is acknowledged in
-	// downlink subframe N+4, giving the 3 ms budget of §2.4.
-	HARQDeadlineSubframes = 4
 )
 
 // Bandwidth describes one LTE channel bandwidth configuration.

@@ -37,12 +37,6 @@ func (p Params) Predict(n, k int, d float64, l int) float64 {
 	return p.W0 + p.W1*float64(n) + p.W2*float64(k) + p.W3*d*float64(l)
 }
 
-// WCET is the worst-case execution time bound obtained by substituting the
-// iteration cap Lm for L (§2.1).
-func (p Params) WCET(n, k int, d float64, lm int) float64 {
-	return p.Predict(n, k, d, lm)
-}
-
 // fftPerAntennaUS is the FFT task's share of the per-antenna coefficient:
 // 54 µs per antenna gives the 108 µs two-antenna FFT task median the paper
 // measures in Fig. 18. The remainder of w1·N (memory copies, channel
@@ -77,28 +71,14 @@ func (p Params) Tasks(n, k int, d float64, l int) TaskTimes {
 	}
 }
 
-// FFTSubtaskCount and friends expose the subtask granularity of Fig. 5:
-// one FFT subtask per (antenna, OFDM symbol) and one decode subtask per
-// turbo code block. Subtask durations are the task time split evenly, which
-// matches the paper's treatment of subtasks as fixed execution units.
+// symbolsPerSubframe fixes the FFT subtask granularity of Fig. 5: one FFT
+// subtask per (antenna, OFDM symbol). Subtask durations are the task time
+// split evenly, which matches the paper's treatment of subtasks as fixed
+// execution units.
 const symbolsPerSubframe = 14
 
 // FFTSubtaskCount returns the number of FFT subtasks for n antennas.
 func FFTSubtaskCount(n int) int { return symbolsPerSubframe * n }
-
-// FFTSubtaskTime returns the duration of one FFT subtask.
-func (p Params) FFTSubtaskTime(n int) float64 {
-	return p.Tasks(n, 2, 0, 1).FFT / float64(FFTSubtaskCount(n))
-}
-
-// DecodeSubtaskTime returns the duration of one decode subtask when the
-// block splits into c code blocks.
-func (p Params) DecodeSubtaskTime(n, k int, d float64, l, c int) float64 {
-	if c < 1 {
-		c = 1
-	}
-	return p.Tasks(n, k, d, l).Decode / float64(c)
-}
 
 // Jitter is the platform-error model: a Gaussian bulk plus a rare Pareto
 // spike, calibrated so that P(E > 150 µs) ≈ 1e-3 and P(E > 400 µs) ≈ 1e-5

@@ -49,7 +49,7 @@ func QuantizeLLR(x float64) int16 {
 
 // QuantizeLLRsInto quantizes src into dst (same length), element-wise per
 // QuantizeLLR. It is the allocation-free boundary between the float64 soft
-// chain (demap, descramble, HARQ combining) and the int16 decode path.
+// chain (demap, descramble) and the int16 decode path.
 func QuantizeLLRsInto(dst []int16, src []float64) {
 	if len(dst) != len(src) {
 		panic("modulation: QuantizeLLRsInto length mismatch")

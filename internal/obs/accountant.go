@@ -86,14 +86,6 @@ func span(from, to float64) float64 {
 	return to - from
 }
 
-// End returns the largest event time seen (the natural window end when the
-// caller has no engine clock).
-func (a *CoreAccountant) End() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.end
-}
-
 // CoreReport is one core's utilization over a run window.
 type CoreReport struct {
 	Core        int     `json:"core"`

@@ -60,8 +60,8 @@ func TestAccountantDefaults(t *testing.T) {
 	a := NewCoreAccountant()
 	a.Emit(ev(10, 2, trace.EvStart))
 	a.Emit(ev(30, 2, trace.EvFinish))
-	if a.End() != 30 {
-		t.Fatalf("End = %v, want 30", a.End())
+	if a.end != 30 {
+		t.Fatalf("end = %v, want 30", a.end)
 	}
 	// cores ≤ 0 sizes to the highest core; end ≤ 0 uses the last event time.
 	reports := a.Reports(0, 0)

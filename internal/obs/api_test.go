@@ -202,7 +202,7 @@ func TestFleetHistory(t *testing.T) {
 
 	// Merged timeline: both sources' work sums; only A contributes errors.
 	merged, ok := hist.Resolve("")
-	if !ok || merged.DB != hist.Merged() || merged.SLO == nil {
+	if !ok || merged.DB != hist.merged || merged.SLO == nil {
 		t.Fatalf("Resolve(\"\") = %+v", merged)
 	}
 	if v, _, ok := merged.DB.Increase("work_total", 5*time.Second); !ok || v != 500 {
@@ -222,9 +222,6 @@ func TestFleetHistory(t *testing.T) {
 	}
 	if _, ok := hist.Resolve("nope"); ok {
 		t.Fatal("unknown source should not resolve")
-	}
-	if got := hist.SourceIDs(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("SourceIDs = %v", got)
 	}
 
 	// The fleet-level SLO sees 5/100 = 5% against a 1% target: firing
@@ -258,14 +255,14 @@ func TestFleetHistory(t *testing.T) {
 	}
 	push2("gone", 1, regA)
 	histEvict.Tick()
-	if got := histEvict.SourceIDs(); len(got) != 1 {
-		t.Fatalf("SourceIDs before eviction = %v", got)
+	if _, ok := histEvict.Resolve("gone"); !ok {
+		t.Fatal("source should hold a timeline before eviction")
 	}
 	now = now.Add(5 * time.Second)
 	colEvict.EvictStale()
 	histEvict.Tick()
-	if got := histEvict.SourceIDs(); len(got) != 0 {
-		t.Fatalf("SourceIDs after eviction = %v, want none", got)
+	if _, ok := histEvict.Resolve("gone"); ok {
+		t.Fatal("evicted source still holds a timeline")
 	}
 }
 

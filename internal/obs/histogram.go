@@ -118,13 +118,6 @@ func (h *Histogram) Count() uint64 {
 	return h.count
 }
 
-// Sum returns the sum of finite samples.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
 // Mean returns the sample mean (NaN when empty).
 func (h *Histogram) Mean() float64 {
 	h.mu.Lock()

@@ -1,9 +1,9 @@
 package obs
 
 import (
+	"flag"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"time"
 )
@@ -64,12 +64,6 @@ func NewFleetHistory(col *Collector, cfg FleetHistoryConfig) *FleetHistory {
 	return f
 }
 
-// SLO returns the merged timeline's engine (nil without objectives).
-func (f *FleetHistory) SLO() *SLOEngine { return f.slo }
-
-// Merged returns the merged-fleet timeline.
-func (f *FleetHistory) Merged() *TSDB { return f.merged }
-
 // Tick performs one scrape-and-evaluate step: merged snapshot into the
 // merged TSDB, each live source's envelope into its timeline, dropped
 // timelines for sources the collector no longer tracks, then one SLO
@@ -124,18 +118,6 @@ func (f *FleetHistory) Resolve(source string) (HistoryView, bool) {
 		return HistoryView{}, false
 	}
 	return HistoryView{DB: db}, true
-}
-
-// SourceIDs lists the sources currently holding a timeline, sorted.
-func (f *FleetHistory) SourceIDs() []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	ids := make([]string, 0, len(f.perSource))
-	for id := range f.perSource {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // Start launches the scrape loop at the TSDB step. Call Stop to halt it.
@@ -250,4 +232,61 @@ func ratePoints(db *TSDB, id string, window time.Duration) []Point {
 		out = append(out, Point{T: raw[i].T, V: dv / dt})
 	}
 	return out
+}
+
+// HistoryConfig carries the shared -history-step/-history-retention flag
+// values and, after SLOFlags, the -slo objectives and their overrides.
+type HistoryConfig struct {
+	// TSDB holds the parsed step and retention; a Step of 0 means the
+	// operator disabled the time-series store.
+	TSDB TSDBConfig
+
+	fs                  *flag.FlagSet
+	objectives          []Objective
+	fast, slow, pending time.Duration
+}
+
+// HistoryFlags registers -history-step and -history-retention on fs (the
+// global flag set when nil) with the calling binary's defaults and returns
+// the config the flags fill at Parse time.
+func HistoryFlags(fs *flag.FlagSet, step, retention time.Duration) *HistoryConfig {
+	if fs == nil {
+		fs = flag.CommandLine
+	}
+	c := &HistoryConfig{fs: fs}
+	fs.DurationVar(&c.TSDB.Step, "history-step", step, "history scrape interval (0 disables the time-series store)")
+	fs.DurationVar(&c.TSDB.Retention, "history-retention", retention, "history retention per series")
+	return c
+}
+
+// SLOFlags additionally registers the repeatable -slo objective flag and
+// its -slo-fast, -slo-slow and -slo-pending overrides on the same flag set.
+func (c *HistoryConfig) SLOFlags() {
+	fs := c.fs
+	fs.Func("slo", "declarative objective, e.g. 'miss_rate: errs / total <= 0.1% over 5m' (repeatable)", func(spec string) error {
+		o, err := ParseObjective(spec)
+		if err != nil {
+			return err
+		}
+		c.objectives = append(c.objectives, o)
+		return nil
+	})
+	fs.DurationVar(&c.fast, "slo-fast", 0, "override the fast burn window for every -slo objective (default window/12)")
+	fs.DurationVar(&c.slow, "slo-slow", 0, "override the slow burn window for every -slo objective (default the SLO window)")
+	fs.DurationVar(&c.pending, "slo-pending", 0, "how long burn must persist before an alert fires")
+}
+
+// Objectives returns the parsed -slo objectives with the window and pending
+// overrides applied.
+func (c *HistoryConfig) Objectives() []Objective {
+	for i := range c.objectives {
+		if c.fast > 0 {
+			c.objectives[i].FastWindow = c.fast
+		}
+		if c.slow > 0 {
+			c.objectives[i].SlowWindow = c.slow
+		}
+		c.objectives[i].Pending = c.pending
+	}
+	return c.objectives
 }

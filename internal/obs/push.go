@@ -3,9 +3,7 @@ package obs
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 )
@@ -57,16 +55,8 @@ func NewPusher(cfg PusherConfig) (*Pusher, error) {
 	if cfg.Addr == "" {
 		return nil, fmt.Errorf("obs: pusher needs a collector address")
 	}
-	base := cfg.Addr
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	base = strings.TrimSuffix(base, "/")
 	if cfg.Source.ID == "" {
 		cfg.Source = DefaultSource(cfg.Source.Labels...)
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 5 * time.Second
 	}
 	if cfg.Retries < 0 {
 		cfg.Retries = 0
@@ -76,19 +66,7 @@ func NewPusher(cfg PusherConfig) (*Pusher, error) {
 	if cfg.Backoff <= 0 {
 		cfg.Backoff = 100 * time.Millisecond
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: cfg.Timeout}
-	}
-	return &Pusher{cfg: cfg, url: base + PushPath, client: client}, nil
-}
-
-// Source returns the identity pushes are labeled with.
-func (p *Pusher) Source() Source {
-	if p == nil {
-		return Source{}
-	}
-	return p.cfg.Source
+	return &Pusher{cfg: cfg, url: BaseURL(cfg.Addr) + PushPath, client: HTTPClient(cfg.Client, cfg.Timeout)}, nil
 }
 
 // Push snapshots reg and sends it. Nil receiver or nil registry is a no-op.
@@ -124,39 +102,12 @@ func (p *Pusher) push(reg *Registry, final bool) error {
 }
 
 func (p *Pusher) attempt(body []byte) error {
-	req, err := http.NewRequest(http.MethodPost, p.url, bytes.NewReader(body))
-	if err != nil {
-		return Permanent(err)
+	err := PostJSON(p.client, p.url, p.cfg.AuthToken, nil, body, nil)
+	if IsPermanent(err) {
+		// A rejected envelope will not improve by resending.
+		return Permanent(fmt.Errorf("obs: push to %s rejected: %v", p.url, err))
 	}
-	req.Header.Set("Content-Type", "application/json")
-	AuthHeader(req, p.cfg.AuthToken)
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		err := &pushStatusError{status: resp.StatusCode, msg: strings.TrimSpace(string(msg))}
-		if resp.StatusCode >= 400 && resp.StatusCode < 500 {
-			// A rejected envelope will not improve by resending.
-			return Permanent(fmt.Errorf("obs: push to %s rejected: %v", p.url, err))
-		}
-		return err
-	}
-	return nil
-}
-
-type pushStatusError struct {
-	status int
-	msg    string
-}
-
-func (e *pushStatusError) Error() string {
-	if e.msg == "" {
-		return fmt.Sprintf("HTTP %d", e.status)
-	}
-	return fmt.Sprintf("HTTP %d: %s", e.status, e.msg)
+	return err
 }
 
 // StartPeriodic pushes reg every interval until the returned stop func is
@@ -167,34 +118,14 @@ func (p *Pusher) StartPeriodic(reg *Registry, interval time.Duration) (stop func
 	if p == nil || reg == nil {
 		return func() error { return nil }
 	}
-	if interval <= 0 {
-		interval = 2 * time.Second
-	}
-	done := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				if err := p.Push(reg); err != nil && p.cfg.Logf != nil {
-					p.cfg.Logf("%v", err)
-				}
-			case <-done:
-				return
-			}
-		}
-	}()
-	var once sync.Once
 	var finalErr error
+	stopTicker := StartTicker(interval, func() {
+		if err := p.Push(reg); err != nil && p.cfg.Logf != nil {
+			p.cfg.Logf("%v", err)
+		}
+	}, func() { finalErr = p.PushFinal(reg) })
 	return func() error {
-		once.Do(func() {
-			close(done)
-			<-finished
-			finalErr = p.PushFinal(reg)
-		})
+		stopTicker()
 		return finalErr
 	}
 }

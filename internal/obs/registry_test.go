@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -115,10 +116,10 @@ func TestSnapshotDeterministicAndMergeable(t *testing.T) {
 	}
 	s1, s2 := fill().Snapshot(), fill().Snapshot()
 	var b1, b2 strings.Builder
-	if err := s1.WriteText(&b1); err != nil {
+	if err := json.NewEncoder(&b1).Encode(s1); err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.WriteText(&b2); err != nil {
+	if err := json.NewEncoder(&b2).Encode(s2); err != nil {
 		t.Fatal(err)
 	}
 	if b1.String() != b2.String() {
@@ -129,7 +130,10 @@ func TestSnapshotDeterministicAndMergeable(t *testing.T) {
 		t.Fatalf("counters not sorted: %+v", s1.Counters)
 	}
 
-	merged := s1.Merge(s2)
+	r := NewRegistry()
+	r.MergeSnapshot(s1)
+	r.MergeSnapshot(s2)
+	merged := r.Snapshot()
 	if merged.Counters[1].Value != 4 {
 		t.Fatalf("snapshot merge: z_total = %d, want 4", merged.Counters[1].Value)
 	}

@@ -1,8 +1,14 @@
 package obs
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
+	"strings"
+	"sync"
 	"time"
 )
 
@@ -95,4 +101,91 @@ func (p RetryPolicy) Do(desc string, attempt func() error) error {
 		}
 	}
 	return fmt.Errorf("%s failed after %d attempt(s): %v", desc, attempts, lastErr)
+}
+
+// BaseURL normalizes a daemon address ("host:port" or "http://host:port/")
+// into the URL prefix a request path is appended to.
+func BaseURL(addr string) string {
+	if !strings.Contains(addr, "://") {
+		addr = "http://" + addr
+	}
+	return strings.TrimSuffix(addr, "/")
+}
+
+// HTTPClient returns c, or when c is nil a client that bounds one attempt
+// by timeout (≤ 0 means 5s).
+func HTTPClient(c *http.Client, timeout time.Duration) *http.Client {
+	if c != nil {
+		return c
+	}
+	if timeout <= 0 {
+		timeout = 5 * time.Second
+	}
+	return &http.Client{Timeout: timeout}
+}
+
+// PostJSON is one attempt of the fleet's authenticated JSON POST, shaped
+// for RetryPolicy.Do: transport errors and 5xx answers come back plain (to
+// be retried), 4xx answers wrapped by Permanent — a rejected request will
+// not improve by resending. header carries extra request headers (may be
+// nil); a non-nil out receives the decoded 200 response.
+func PostJSON(client *http.Client, url, authToken string, header http.Header, body []byte, out any) error {
+	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		return Permanent(err)
+	}
+	for k, v := range header {
+		req.Header[k] = v
+	}
+	req.Header.Set("Content-Type", "application/json")
+	AuthHeader(req, authToken)
+	resp, err := client.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		err := fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
+		if resp.StatusCode >= 400 && resp.StatusCode < 500 {
+			return Permanent(err)
+		}
+		return err
+	}
+	if out == nil {
+		return nil
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// StartTicker calls tick every interval (≤ 0 means 2s) on its own
+// goroutine until the returned stop is called. stop waits for the loop to
+// exit, then runs final once; later calls wait for that and do nothing.
+func StartTicker(interval time.Duration, tick, final func()) (stop func()) {
+	if interval <= 0 {
+		interval = 2 * time.Second
+	}
+	done := make(chan struct{})
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-t.C:
+				tick()
+			case <-done:
+				return
+			}
+		}
+	}()
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			close(done)
+			<-finished
+			final()
+		})
+	}
 }

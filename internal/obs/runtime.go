@@ -165,8 +165,3 @@ func StartRuntime(reg *Registry, interval time.Duration) *RuntimeSampler {
 func (s *RuntimeSampler) Stop() {
 	s.once.Do(func() { close(s.done) })
 }
-
-// StartRuntimeSampler is the closure form of StartRuntime.
-func StartRuntimeSampler(reg *Registry, interval time.Duration) (stop func()) {
-	return StartRuntime(reg, interval).Stop
-}

@@ -112,7 +112,7 @@ func TestExpvarTracksLatestRegistry(t *testing.T) {
 
 func TestRuntimeSampler(t *testing.T) {
 	reg := NewRegistry()
-	stop := StartRuntimeSampler(reg, time.Hour) // immediate sample only
+	stop := StartRuntime(reg, time.Hour).Stop // immediate sample only
 	defer stop()
 	if !reg.Gauge("rtopex_go_goroutines").IsSet() {
 		t.Fatal("rtopex_go_goroutines not sampled")

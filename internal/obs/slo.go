@@ -186,28 +186,6 @@ type DossierSource interface {
 	DossierRefsSince(since time.Time) []DossierRef
 }
 
-// MultiDossierSource merges several sources (e.g. a local recorder plus a
-// fleet store) into one, sorted by capture time then source.
-type MultiDossierSource []DossierSource
-
-// DossierRefsSince implements DossierSource.
-func (m MultiDossierSource) DossierRefsSince(since time.Time) []DossierRef {
-	var out []DossierRef
-	for _, s := range m {
-		out = append(out, s.DossierRefsSince(since)...)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].CapturedMS != out[j].CapturedMS {
-			return out[i].CapturedMS < out[j].CapturedMS
-		}
-		if out[i].Source != out[j].Source {
-			return out[i].Source < out[j].Source
-		}
-		return out[i].Seq < out[j].Seq
-	})
-	return out
-}
-
 // Alert is the JSON surface of one objective's alert state.
 type Alert struct {
 	SLOVersion int        `json:"slo_version"`

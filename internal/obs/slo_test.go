@@ -298,25 +298,6 @@ func TestDossierLinkDedupAndCap(t *testing.T) {
 	}
 }
 
-// TestMultiDossierSource: refs merge sorted by capture time, then source,
-// then seq.
-func TestMultiDossierSource(t *testing.T) {
-	a := &fakeDossiers{refs: []DossierRef{
-		{ID: "a2", Source: "a", Seq: 2, CapturedMS: 300},
-		{ID: "a1", Source: "a", Seq: 1, CapturedMS: 100},
-	}}
-	b := &fakeDossiers{refs: []DossierRef{
-		{ID: "b1", Source: "b", Seq: 1, CapturedMS: 100},
-	}}
-	got := MultiDossierSource{a, b}.DossierRefsSince(time.UnixMilli(0))
-	if len(got) != 3 || got[0].ID != "a1" || got[1].ID != "b1" || got[2].ID != "a2" {
-		t.Fatalf("merged refs = %+v", got)
-	}
-	if got := (MultiDossierSource{a, b}).DossierRefsSince(time.UnixMilli(200)); len(got) != 1 || got[0].ID != "a2" {
-		t.Fatalf("since-filtered refs = %+v", got)
-	}
-}
-
 // TestObjectiveStatus: the /api/slo numbers — error ratio, derived budget
 // consumption, readiness — follow directly from the window's increases.
 func TestObjectiveStatus(t *testing.T) {

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"sort"
 	"strconv"
 )
@@ -102,15 +100,6 @@ func (r *Registry) MergeSnapshot(s *Snapshot) {
 	}
 }
 
-// Merge folds another snapshot into s (without a registry): counters and
-// histogram buckets add, gauges overwrite.
-func (s *Snapshot) Merge(other *Snapshot) *Snapshot {
-	r := NewRegistry()
-	r.MergeSnapshot(s)
-	r.MergeSnapshot(other)
-	return r.Snapshot()
-}
-
 // CounterValue looks up one counter series by identity (false when absent).
 func (s *Snapshot) CounterValue(name string, labels ...Label) (int64, bool) {
 	id := SeriesID(name, labels)
@@ -131,31 +120,6 @@ func (s *Snapshot) GaugeValue(name string, labels ...Label) (float64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// WriteText renders the snapshot as aligned human-readable lines: counters
-// and gauges one per line, histograms as count/mean/quantile summaries.
-// The output is deterministic (series sorted by id).
-func (s *Snapshot) WriteText(w io.Writer) error {
-	for _, c := range s.Counters {
-		if _, err := fmt.Fprintf(w, "%-52s %d\n", SeriesID(c.Name, c.Labels), c.Value); err != nil {
-			return err
-		}
-	}
-	for _, g := range s.Gauges {
-		if _, err := fmt.Fprintf(w, "%-52s %s\n", SeriesID(g.Name, g.Labels), formatFloat(g.Value)); err != nil {
-			return err
-		}
-	}
-	for _, h := range s.Histograms {
-		v := h.Value
-		if _, err := fmt.Fprintf(w, "%-52s n=%d mean=%s p50=%s p99=%s max=%s\n",
-			SeriesID(h.Name, h.Labels), v.Count, formatFloat(v.Mean()),
-			formatFloat(v.Quantile(0.5)), formatFloat(v.Quantile(0.99)), formatFloat(v.Max)); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // formatFloat renders a float with the shortest round-trip representation,

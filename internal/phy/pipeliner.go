@@ -74,9 +74,6 @@ func NewPipeliner(pc PipelinerConfig) (*Pipeliner, error) {
 	return pl, nil
 }
 
-// Depth returns the in-flight window.
-func (pl *Pipeliner) Depth() int { return pl.pc.Depth }
-
 // Submit hands one subframe to the pipeline, blocking while Depth subframes
 // are already in flight. The caller must not mutate iq until the subframe's
 // OnDone fires. Tags are opaque; completions are reported per tag and may

@@ -215,8 +215,8 @@ func TestPipelinerLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.Depth() != 1 {
-		t.Fatalf("Depth() = %d, want clamped 1", pl.Depth())
+	if pl.pc.Depth != 1 {
+		t.Fatalf("depth = %d, want clamped 1", pl.pc.Depth)
 	}
 	// Invalid config: the error must arrive via OnDone, not hang the window.
 	if err := pl.Submit(0, Config{}, nil, 0); err != nil {

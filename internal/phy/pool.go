@@ -70,9 +70,6 @@ func NewPool(workers int) *Pool {
 	return p
 }
 
-// Workers returns the pool's concurrency (including the calling goroutine).
-func (p *Pool) Workers() int { return p.workers }
-
 // NewLane returns a fresh stage barrier for use with RunOn. Lanes are cheap;
 // give each concurrent pipeline driver its own.
 func (p *Pool) NewLane() *Lane {

@@ -69,10 +69,10 @@ func TestPoolZeroAndSingleWork(t *testing.T) {
 	if !ran {
 		t.Fatal("single subtask did not run")
 	}
-	if p.Workers() != 4 {
-		t.Fatalf("Workers() = %d, want 4", p.Workers())
+	if p.workers != 4 {
+		t.Fatalf("workers = %d, want 4", p.workers)
 	}
-	if NewPool(0).Workers() < 1 {
+	if NewPool(0).workers < 1 {
 		t.Fatal("default pool has no workers")
 	}
 }

@@ -255,9 +255,6 @@ func (rx *Receiver) buildStages() {
 	rx.stages = []Stage{fftStage, chestStage, demodStage, decodeStage}
 }
 
-// TBS returns the transport block size in bits.
-func (rx *Receiver) TBS() int { return rx.layout.tbs }
-
 // CodeBlocks returns the number of turbo code blocks C — the decode task's
 // subtask count.
 func (rx *Receiver) CodeBlocks() int { return rx.layout.seg.C }
@@ -304,7 +301,7 @@ func (rx *Receiver) fftSymbol(a, l int) {
 // averaging across neighbors trades a little frequency resolution — safe
 // while the window stays well inside the channel's coherence bandwidth
 // (~26 subcarriers even for EVA at 10 MHz) — for an ~6.5 dB cleaner
-// estimate, which is what keeps low-SNR HARQ combining effective.
+// estimate, which is what keeps low-SNR decoding effective.
 const chEstSmoothing = 4
 
 // estimateChannel averages the two DM-RS symbols of antenna a and smooths
@@ -406,7 +403,7 @@ func (rx *Receiver) decodeBlock(r int) {
 		return
 	}
 	dec := rx.decoders[r]
-	dec.PrecheckRaw = rx.rawCovered[r] // HARQ shares these decoders and re-enables it
+	dec.PrecheckRaw = rx.rawCovered[r]
 	res := dec.Decode(s0, s1, s2, rx.checks[r])
 	copy(rx.blocks[r], res.Bits)
 	rx.res.BlockOK[r] = res.OK

@@ -51,21 +51,10 @@ func (tx *Transmitter) CodeBlocks() int { return tx.layout.seg.C }
 // Transmit encodes payload (TBS bits, 0/1 values) into one subframe of
 // baseband samples at redundancy version 0.
 func (tx *Transmitter) Transmit(payload []byte) ([]complex128, error) {
-	return tx.TransmitRV(payload, 0)
-}
-
-// TransmitRV encodes payload at the given redundancy version (0..3) — the
-// HARQ retransmission path: each rv starts bit selection at a different
-// point of the circular buffer, so retransmissions carry fresh parity
-// (incremental redundancy).
-func (tx *Transmitter) TransmitRV(payload []byte, rv int) ([]complex128, error) {
 	if len(payload) != tx.layout.tbs {
 		return nil, fmt.Errorf("phy: payload %d bits, want TBS %d", len(payload), tx.layout.tbs)
 	}
-	if rv < 0 || rv > 3 {
-		return nil, fmt.Errorf("phy: redundancy version %d out of 0..3", rv)
-	}
-	codeword, err := tx.encodeCodeword(payload, rv)
+	codeword, err := tx.encodeCodeword(payload)
 	if err != nil {
 		return nil, err
 	}
@@ -77,8 +66,8 @@ func (tx *Transmitter) TransmitRV(payload []byte, rv int) ([]complex128, error) 
 }
 
 // encodeCodeword runs CRC attachment, segmentation, turbo encoding and rate
-// matching at the given redundancy version, returning G codeword bits.
-func (tx *Transmitter) encodeCodeword(payload []byte, rv int) ([]byte, error) {
+// matching, returning G codeword bits.
+func (tx *Transmitter) encodeCodeword(payload []byte) ([]byte, error) {
 	tb := bits.AppendCRC(append([]byte(nil), payload...), bits.CRC24A(payload), 24)
 	blocks, err := tx.layout.seg.Split(tb)
 	if err != nil {
@@ -94,7 +83,7 @@ func (tx *Transmitter) encodeCodeword(payload []byte, rv int) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		matched, err := rm.Match(streams, tx.layout.es[r], rv)
+		matched, err := rm.Match(streams, tx.layout.es[r], 0)
 		if err != nil {
 			return nil, err
 		}

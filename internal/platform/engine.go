@@ -133,15 +133,6 @@ func (e *Engine) At(t float64, fn func()) {
 	e.pq = h
 }
 
-// After schedules fn to run d microseconds from now. A negative or NaN
-// delay panics.
-func (e *Engine) After(d float64, fn func()) {
-	if d < 0 {
-		panic("platform: negative delay")
-	}
-	e.At(e.now+d, fn)
-}
-
 // Pending reports the number of queued events.
 func (e *Engine) Pending() int { return len(e.pre) - e.preHead + len(e.pq) }
 
@@ -156,14 +147,6 @@ func (e *Engine) start() {
 // heap's root). At least one lane must be non-empty.
 func (e *Engine) nextInPre() bool {
 	return e.preHead < len(e.pre) && (len(e.pq) == 0 || e.pre[e.preHead].at <= e.pq[0].at)
-}
-
-// nextAt is the time of the next event. At least one lane must be non-empty.
-func (e *Engine) nextAt() float64 {
-	if e.nextInPre() {
-		return e.pre[e.preHead].at
-	}
-	return e.pq[0].at
 }
 
 // pop removes and returns the next event. Vacated slots are zeroed so a
@@ -227,19 +210,5 @@ func (e *Engine) Step() bool {
 // Run executes events until the queue drains.
 func (e *Engine) Run() {
 	for e.Step() {
-	}
-}
-
-// RunUntil executes events with time ≤ t, then advances the clock to t.
-// Events scheduled after t remain queued.
-func (e *Engine) RunUntil(t float64) {
-	if !e.started {
-		e.start()
-	}
-	for e.Pending() > 0 && e.nextAt() <= t {
-		e.Step()
-	}
-	if t > e.now {
-		e.now = t
 	}
 }

@@ -3,7 +3,6 @@ package platform
 import (
 	"math"
 	"sort"
-	"strings"
 	"testing"
 
 	"rtopex/internal/stats"
@@ -44,7 +43,7 @@ func TestNestedScheduling(t *testing.T) {
 	var trace []float64
 	e.At(10, func() {
 		trace = append(trace, e.Now())
-		e.After(5, func() { trace = append(trace, e.Now()) })
+		e.At(e.Now()+5, func() { trace = append(trace, e.Now()) })
 	})
 	e.Run()
 	if len(trace) != 2 || trace[0] != 10 || trace[1] != 15 {
@@ -57,34 +56,6 @@ func TestPastSchedulingPanics(t *testing.T) {
 	e.At(10, func() {})
 	e.Run()
 	expectPanic(t, "past event", func() { e.At(5, func() {}) })
-}
-
-func TestNegativeDelayPanics(t *testing.T) {
-	e := New()
-	expectPanic(t, "negative delay", func() { e.After(-1, func() {}) })
-}
-
-func TestRunUntil(t *testing.T) {
-	e := New()
-	fired := map[float64]bool{}
-	for _, at := range []float64{10, 20, 30} {
-		at := at
-		e.At(at, func() { fired[at] = true })
-	}
-	e.RunUntil(20)
-	if !fired[10] || !fired[20] || fired[30] {
-		t.Fatalf("fired %v", fired)
-	}
-	if e.Now() != 20 {
-		t.Fatalf("now %v", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending %d", e.Pending())
-	}
-	e.RunUntil(100)
-	if !fired[30] || e.Now() != 100 {
-		t.Fatal("RunUntil did not advance")
-	}
 }
 
 func TestStepAndPending(t *testing.T) {
@@ -114,7 +85,7 @@ func TestDeterminismUnderRandomInsertion(t *testing.T) {
 			n := 1 + r.Intn(3)
 			for i := 0; i < n; i++ {
 				d := r.Float64() * 100
-				e.After(d, func() {
+				e.At(e.Now()+d, func() {
 					log = append(log, e.Now())
 					insert(depth + 1)
 				})
@@ -157,7 +128,6 @@ func expectPanic(t *testing.T, what string, fn func()) {
 func TestNaNTimePanics(t *testing.T) {
 	e := New()
 	expectPanic(t, "At(NaN)", func() { e.At(math.NaN(), func() {}) })
-	expectPanic(t, "After(NaN)", func() { e.After(math.NaN(), func() {}) })
 	e.At(10, func() {})
 	e.Run()
 	expectPanic(t, "At(NaN) after start", func() { e.At(math.NaN(), func() {}) })
@@ -168,8 +138,7 @@ func TestNaNTimePanics(t *testing.T) {
 
 // TestFiringOrderMatchesReferenceSort is the order contract as a property:
 // whatever mix of pre-start scheduling, scheduling from inside firing
-// events, scheduling between RunUntil calls and single Steps produced the
-// events, they fire in the order of a plain sort by (time, scheduling
+// events and scheduling between single Steps produced the events, they fire in the order of a plain sort by (time, scheduling
 // sequence). Times are small integers so ties are the common case, and
 // zero delays put new events at the time being fired.
 func TestFiringOrderMatchesReferenceSort(t *testing.T) {
@@ -202,10 +171,7 @@ func TestFiringOrderMatchesReferenceSort(t *testing.T) {
 			schedule(float64(r.Intn(25)), 0)
 		}
 		for round := 0; round < 6; round++ {
-			switch r.Intn(3) {
-			case 0:
-				e.RunUntil(e.Now() + float64(r.Intn(6)))
-			case 1:
+			if r.Intn(2) == 1 {
 				for k := r.Intn(8); k > 0; k-- {
 					e.Step()
 				}
@@ -236,42 +202,6 @@ func TestFiringOrderMatchesReferenceSort(t *testing.T) {
 	}
 }
 
-// TestRunUntilAcrossLanes stops RunUntil at a time whose events sit in
-// both lanes: the pre-start one fires first, the in-run ones after, and
-// later events of either lane stay queued.
-func TestRunUntilAcrossLanes(t *testing.T) {
-	e := New()
-	var got []string
-	note := func(s string) func() { return func() { got = append(got, s) } }
-	e.At(10, func() {
-		got = append(got, "pre10")
-		e.At(20, note("run20"))
-		e.At(25, note("run25"))
-		e.At(40, note("run40"))
-	})
-	e.At(20, note("pre20"))
-	e.At(30, note("pre30"))
-	if e.Pending() != 3 {
-		t.Fatalf("pending before start %d, want 3", e.Pending())
-	}
-	e.RunUntil(20)
-	if want := "pre10 pre20 run20"; strings.Join(got, " ") != want {
-		t.Fatalf("fired %q, want %q", strings.Join(got, " "), want)
-	}
-	if e.Pending() != 3 || e.Now() != 20 {
-		t.Fatalf("pending %d at %v, want 3 at 20", e.Pending(), e.Now())
-	}
-	e.RunUntil(30)
-	e.At(30, note("late30")) // at the current time, after the lane drained past it
-	e.Run()
-	if want := "pre10 pre20 run20 run25 pre30 late30 run40"; strings.Join(got, " ") != want {
-		t.Fatalf("fired %q, want %q", strings.Join(got, " "), want)
-	}
-	if e.Pending() != 0 {
-		t.Fatalf("pending after Run %d", e.Pending())
-	}
-}
-
 // TestSteadyStateAllocationFree: once the heap has grown to its working
 // size, scheduling a pre-bound func and stepping allocates nothing.
 func TestSteadyStateAllocationFree(t *testing.T) {
@@ -282,9 +212,9 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 	}
 	e.Run()
 	allocs := testing.AllocsPerRun(1000, func() {
-		e.After(3, fn)
-		e.After(1, fn)
-		e.After(2, fn)
+		e.At(e.Now()+3, fn)
+		e.At(e.Now()+1, fn)
+		e.At(e.Now()+2, fn)
 		for e.Step() {
 		}
 	})
@@ -305,10 +235,10 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	step = func() {
 		hops++
 		if hops%chain != 0 {
-			e.After(150, step)
+			e.At(e.Now()+150, step)
 		}
 	}
-	arrive := func() { e.After(150, step) }
+	arrive := func() { e.At(e.Now()+150, step) }
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e = New()

@@ -3,6 +3,7 @@ package sched
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"runtime"
 	"testing"
 
@@ -23,7 +24,7 @@ func tracedDigest(t *testing.T, w *Workload, s Scheduler) (string, *Metrics) {
 	if err := log.WriteJSON(h); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.WriteJSON(h); err != nil {
+	if err := json.NewEncoder(h).Encode(m); err != nil {
 		t.Fatal(err)
 	}
 	return hex.EncodeToString(h.Sum(nil)), m

@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Outcome classifies how a subframe left the system.
 type Outcome int
@@ -235,18 +232,4 @@ func (m *Metrics) totalDecodeFail() int {
 		n += b.DecodeFail
 	}
 	return n
-}
-
-// Log10MissRate is a display helper: log10 of the miss rate, with a floor
-// for zero-miss runs so tables stay finite.
-func (m *Metrics) Log10MissRate() float64 {
-	r := m.MissRate()
-	if r <= 0 {
-		j := m.Jobs()
-		if j == 0 {
-			return math.Inf(-1)
-		}
-		return math.Log10(1 / (10 * float64(j))) // below measurement floor
-	}
-	return math.Log10(r)
 }

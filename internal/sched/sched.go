@@ -58,9 +58,6 @@ type Job struct {
 	JitterUS float64 // platform error E for this subframe
 }
 
-// Tmax returns the processing budget this job has on arrival (Eq. 3).
-func (j *Job) Tmax() float64 { return j.Deadline - j.Arrival }
-
 // WorkloadConfig describes one experiment's workload.
 type WorkloadConfig struct {
 	Basestations int
@@ -319,13 +316,6 @@ func Run(w *Workload, s Scheduler, cores int) (*Metrics, error) {
 // collector (e.g. RecordProcMCS) before any event fires.
 func RunWithMetricsSetup(w *Workload, s Scheduler, cores int, setup func(*Metrics)) (*Metrics, error) {
 	return RunConfigured(w, s, RunConfig{Cores: cores, Setup: setup})
-}
-
-// RunTraced is Run with an event tracer attached: every scheduler decision
-// (arrivals, starts, phases, drops, finishes, migration-batch lifecycle) is
-// emitted into tr.
-func RunTraced(w *Workload, s Scheduler, cores int, tr trace.Tracer) (*Metrics, error) {
-	return RunConfigured(w, s, RunConfig{Cores: cores, Tracer: tr})
 }
 
 // RunConfig bundles the optional knobs of a simulation run.

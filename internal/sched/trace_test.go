@@ -2,6 +2,7 @@ package sched
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"rtopex/internal/model"
@@ -181,7 +182,7 @@ func TestTracingDoesNotChangeMetrics(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := m.WriteJSON(&buf); err != nil {
+		if err := json.NewEncoder(&buf).Encode(m); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

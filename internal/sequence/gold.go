@@ -72,23 +72,5 @@ func (s *Scrambler) Apply(data []byte) []byte {
 	return data
 }
 
-// ApplySoft flips the signs of soft bits (LLRs) where the scrambling bit is 1,
-// which is the descrambling operation on the receive side before decoding.
-// It panics if llrs is longer than the precomputed sequence.
-func (s *Scrambler) ApplySoft(llrs []float64) []float64 {
-	if len(llrs) > len(s.seq) {
-		panic("sequence: scrambler sequence shorter than LLRs")
-	}
-	for i := range llrs {
-		if s.seq[i] == 1 {
-			llrs[i] = -llrs[i]
-		}
-	}
-	return llrs
-}
-
-// Len reports the number of precomputed scrambling bits.
-func (s *Scrambler) Len() int { return len(s.seq) }
-
 // Bit returns scrambling bit i.
 func (s *Scrambler) Bit(i int) byte { return s.seq[i] }

@@ -120,34 +120,6 @@ func TestScramblerInvolution(t *testing.T) {
 	}
 }
 
-func TestScramblerSoftMatchesHard(t *testing.T) {
-	// Descrambling LLRs then hard-slicing equals hard-slicing then
-	// descrambling bits.
-	s := NewScrambler(0xC0DE, 64)
-	llrs := make([]float64, 64)
-	hard := make([]byte, 64)
-	for i := range llrs {
-		if i%3 == 0 {
-			llrs[i] = 2.5 // bit 0 (positive LLR convention)
-			hard[i] = 0
-		} else {
-			llrs[i] = -1.5 // bit 1
-			hard[i] = 1
-		}
-	}
-	s.ApplySoft(llrs)
-	s.Apply(hard)
-	for i := range llrs {
-		var sliced byte
-		if llrs[i] < 0 {
-			sliced = 1
-		}
-		if sliced != hard[i] {
-			t.Fatalf("soft/hard descrambling disagree at %d", i)
-		}
-	}
-}
-
 func TestScramblerPanicsOnOverrun(t *testing.T) {
 	s := NewScrambler(1, 4)
 	defer func() {

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -48,11 +47,6 @@ func Summarize(xs []float64) Summary {
 		P999:  quantileSorted(sorted, 0.999),
 		P9999: quantileSorted(sorted, 0.9999),
 	}
-}
-
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.3g std=%.3g min=%.3g p50=%.3g p90=%.3g p99=%.3g p99.9=%.3g max=%.3g",
-		s.N, s.Mean, s.Std, s.Min, s.P50, s.P90, s.P99, s.P999, s.Max)
 }
 
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
@@ -113,119 +107,23 @@ func (c *CDF) At(x float64) float64 {
 // Quantile returns the inverse CDF at q.
 func (c *CDF) Quantile(q float64) float64 { return quantileSorted(c.sorted, q) }
 
-// Len reports the sample size.
-func (c *CDF) Len() int { return len(c.sorted) }
-
-// Points returns up to n (x, F(x)) pairs evenly spaced in probability,
-// suitable for plotting the CDF as a line series.
-func (c *CDF) Points(n int) (xs, ps []float64) {
-	if n < 2 || len(c.sorted) == 0 {
-		return nil, nil
-	}
-	xs = make([]float64, n)
-	ps = make([]float64, n)
-	for i := 0; i < n; i++ {
-		q := float64(i) / float64(n-1)
-		xs[i] = quantileSorted(c.sorted, q)
-		ps[i] = q
-	}
-	return xs, ps
-}
-
-// Histogram is a fixed-width-bin histogram.
-type Histogram struct {
-	Lo, Hi   float64
-	Counts   []int
-	Under    int // samples below Lo
-	Over     int // samples at or above Hi
-	Total    int
-	binWidth float64
-}
-
-// NewHistogram creates a histogram with bins bins over [lo, hi).
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic("stats: invalid histogram parameters")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins), binWidth: (hi - lo) / float64(bins)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	h.Total++
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int((x - h.Lo) / h.binWidth)
-		if i >= len(h.Counts) { // guard against float rounding at the top edge
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.Lo + (float64(i)+0.5)*h.binWidth
-}
-
-// Fraction returns the fraction of *all* recorded samples falling in bin i.
-// The denominator is Total, which includes Under and Over, so the bin
-// fractions sum to 1 − (Under+Over)/Total, not to 1, when samples fell
-// outside [Lo, Hi). That is the right normalization for plots whose x-axis
-// covers the full data range (the paper's figures); for a distribution over
-// the in-range samples only, use InRangeFraction.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.Total)
-}
-
-// InRangeFraction returns the fraction of in-range samples (Total − Under −
-// Over) falling in bin i; the bin fractions sum to 1 whenever any sample
-// landed in range.
-func (h *Histogram) InRangeFraction(i int) float64 {
-	in := h.Total - h.Under - h.Over
-	if in == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(in)
-}
-
-// Mean of all recorded in-range samples cannot be recovered from a histogram;
-// use Welford for streaming moments instead.
-
 // Welford accumulates streaming mean and variance without storing samples.
 type Welford struct {
 	n        int
 	mean, m2 float64
-	min, max float64
+	max      float64
 }
 
 // Add records one sample.
 func (w *Welford) Add(x float64) {
-	if w.n == 0 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
+	if w.n == 0 || x > w.max {
+		w.max = x
 	}
 	w.n++
 	d := x - w.mean
 	w.mean += d / float64(w.n)
 	w.m2 += d * (x - w.mean)
 }
-
-// N returns the number of samples recorded.
-func (w *Welford) N() int { return w.n }
 
 // Mean returns the running mean.
 func (w *Welford) Mean() float64 { return w.mean }
@@ -240,9 +138,6 @@ func (w *Welford) Var() float64 {
 
 // Std returns the sample standard deviation.
 func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
-
-// Min returns the smallest recorded sample (0 if none).
-func (w *Welford) Min() float64 { return w.min }
 
 // Max returns the largest recorded sample (0 if none).
 func (w *Welford) Max() float64 { return w.max }

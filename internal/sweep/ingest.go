@@ -23,7 +23,6 @@ type Ingest struct {
 	mu    sync.Mutex
 	store *Store
 	seen  map[string]string // artifact key → hex content hash
-	dups  int64
 }
 
 // NewIngest wraps store. prior records (a resumed store's survivors) are
@@ -55,7 +54,6 @@ func (in *Ingest) Add(r *Record) (added bool, err error) {
 			return false, fmt.Errorf("sweep: key %s (%s): conflicting record content (have hash %s, got %s)",
 				r.Key, r.Experiment, prev, hash)
 		}
-		in.dups++
 		return false, nil
 	}
 	if in.store != nil {
@@ -65,26 +63,4 @@ func (in *Ingest) Add(r *Record) (added bool, err error) {
 	}
 	in.seen[r.Key] = hash
 	return true, nil
-}
-
-// Has reports whether a record with this key was already ingested.
-func (in *Ingest) Has(key string) bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	_, ok := in.seen[key]
-	return ok
-}
-
-// Duplicates counts records dropped as byte-identical repeats.
-func (in *Ingest) Duplicates() int64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.dups
-}
-
-// Len counts distinct keys ingested.
-func (in *Ingest) Len() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return len(in.seen)
 }

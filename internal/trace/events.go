@@ -4,18 +4,15 @@ package trace
 // lives in trace.go). A simulation run, when tracing is enabled, emits one
 // Event per scheduler decision — job arrival, start, phase transitions,
 // drops, finishes, and the full migration-batch lifecycle of Fig. 12 — into
-// a Tracer sink. The ring sink bounds memory on long runs; the JSON/CSV
-// exporters make a run's decisions diffable and renderable (cmd/rtoptrace).
+// a Tracer sink. The ring sink bounds memory on long runs; the JSON
+// exporter makes a run's decisions diffable and renderable (cmd/rtoptrace).
 //
 // See README.md in this directory for the schema.
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -262,10 +259,6 @@ type EventLog struct {
 	Events []Event `json:"events"`
 }
 
-// eventsHeader tags the CSV event-trace format (the load-trace CSV format
-// uses its own header).
-const eventsHeader = "# rtopex-events v1"
-
 // WriteJSON serializes the log as a single JSON document. The output is
 // deterministic: identical logs produce byte-identical documents.
 func (l *EventLog) WriteJSON(w io.Writer) error {
@@ -281,21 +274,4 @@ func ReadEventLog(r io.Reader) (*EventLog, error) {
 		return nil, fmt.Errorf("trace: bad event log: %v", err)
 	}
 	return &l, nil
-}
-
-// WriteCSV serializes the events as CSV: a header comment, a column row,
-// then one row per event. Detail fields containing commas are quoted.
-func (l *EventLog) WriteCSV(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, eventsHeader)
-	fmt.Fprintln(bw, "t_us,core,bs,sf,event,detail")
-	for _, e := range l.Events {
-		detail := e.Detail
-		if strings.ContainsAny(detail, ",\"\n") {
-			detail = `"` + strings.ReplaceAll(detail, `"`, `""`) + `"`
-		}
-		fmt.Fprintf(bw, "%s,%d,%d,%d,%s,%s\n",
-			strconv.FormatFloat(e.Time, 'g', -1, 64), e.Core, e.BS, e.Subframe, e.Event, detail)
-	}
-	return bw.Flush()
 }

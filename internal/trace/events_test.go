@@ -104,22 +104,3 @@ func TestEventLogJSONRoundTrip(t *testing.T) {
 		t.Fatal("JSON export not deterministic")
 	}
 }
-
-func TestEventLogCSV(t *testing.T) {
-	log := testLog()
-	var buf bytes.Buffer
-	if err := log.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n"))
-	// Header comment + column line + one row per event.
-	if want := 2 + len(log.Events); len(lines) != want {
-		t.Fatalf("%d lines, want %d:\n%s", len(lines), want, buf.String())
-	}
-	if !bytes.HasPrefix(lines[0], []byte("# rtopex-events")) {
-		t.Fatalf("missing header: %s", lines[0])
-	}
-	if got, want := string(lines[4]), "560.5,2,0,0,mig-plan,fft n=3"; got != want {
-		t.Fatalf("row %q, want %q", got, want)
-	}
-}

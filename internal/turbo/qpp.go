@@ -207,6 +207,3 @@ func (il *Interleaver) InverseF(in, out []float64) []float64 {
 	}
 	return out
 }
-
-// Index returns Π(i).
-func (il *Interleaver) Index(i int) int { return il.perm[i] }

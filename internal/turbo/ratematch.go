@@ -170,10 +170,8 @@ func (rm *RateMatcher) Dematch(llrs []float64, rv int) (s0, s1, s2 []float64, er
 }
 
 // DematchInto accumulates e received LLRs into existing per-stream soft
-// buffers (each of length K+4) — the HARQ soft-combining path: successive
-// transmissions at different redundancy versions add their evidence into
-// the same buffers (incremental redundancy), and repeats of the same rv
-// chase-combine.
+// buffers (each of length K+4); the caller clears them per transmission.
+// Repeated positions of the circular buffer add their evidence.
 func (rm *RateMatcher) DematchInto(s0, s1, s2, llrs []float64, rv int) error {
 	if len(llrs) == 0 {
 		return fmt.Errorf("turbo: Dematch of empty input")

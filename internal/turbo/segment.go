@@ -105,16 +105,11 @@ func (s *Segmentation) Split(in []byte) ([][]byte, error) {
 	return out, nil
 }
 
-// Join reassembles decoded code blocks into the original B-bit sequence,
-// stripping fillers and per-block CRCs. It does not verify the CRCs — the
-// decoder already used them for early termination; callers that need a
-// trustworthy answer verify the transport-block CRC24A over the result.
-func (s *Segmentation) Join(blocks [][]byte) ([]byte, error) {
-	return s.JoinInto(make([]byte, s.B), blocks)
-}
-
-// JoinInto is Join into a caller-provided buffer of exactly B bytes — the
-// allocation-free path of the receive chain. It returns dst for convenience.
+// JoinInto reassembles decoded code blocks into the original B-bit sequence
+// in a caller-provided buffer of exactly B bytes, stripping fillers and
+// per-block CRCs, and returns dst. It does not verify the CRCs — the decoder
+// already used them for early termination; callers that need a trustworthy
+// answer verify the transport-block CRC24A over the result.
 func (s *Segmentation) JoinInto(dst []byte, blocks [][]byte) ([]byte, error) {
 	if len(blocks) != s.C {
 		return nil, fmt.Errorf("turbo: Join got %d blocks, want %d", len(blocks), s.C)
@@ -134,16 +129,6 @@ func (s *Segmentation) JoinInto(dst []byte, blocks [][]byte) ([]byte, error) {
 		pos += copy(dst[pos:], payload)
 	}
 	return dst, nil
-}
-
-// CheckBlockCRC verifies the CRC24B of one decoded code block. For C == 1
-// there is no per-block CRC and it always returns true; the caller should
-// check the transport-block CRC24A instead.
-func (s *Segmentation) CheckBlockCRC(block []byte) bool {
-	if s.crcLen == 0 {
-		return true
-	}
-	return bits.CheckCRC24B(block)
 }
 
 // PerBlockE computes the rate-matching output size E_r for each code block

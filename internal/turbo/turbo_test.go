@@ -67,7 +67,7 @@ func TestInterleaverIsPermutation(t *testing.T) {
 		}
 		seen := make([]bool, k)
 		for i := 0; i < k; i++ {
-			p := il.Index(i)
+			p := il.perm[i]
 			if p < 0 || p >= k || seen[p] {
 				t.Fatalf("K=%d: invalid permutation at %d", k, i)
 			}
@@ -568,11 +568,11 @@ func TestSegmentationSplitJoinRoundTrip(t *testing.T) {
 			if len(blk) != s.Sizes[i] {
 				t.Fatalf("B=%d block %d size %d, want %d", b, i, len(blk), s.Sizes[i])
 			}
-			if !s.CheckBlockCRC(blk) {
+			if s.crcLen > 0 && !bits.CheckCRC24B(blk) {
 				t.Fatalf("B=%d block %d CRC failed directly after Split", b, i)
 			}
 		}
-		out, err := s.Join(blocks)
+		out, err := s.JoinInto(make([]byte, s.B), blocks)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -621,10 +621,10 @@ func TestSegmentErrors(t *testing.T) {
 	if _, err := s.Split(make([]byte, 99)); err == nil {
 		t.Error("short Split input accepted")
 	}
-	if _, err := s.Join(nil); err == nil {
+	if _, err := s.JoinInto(make([]byte, s.B), nil); err == nil {
 		t.Error("empty Join accepted")
 	}
-	if _, err := s.Join([][]byte{make([]byte, 3)}); err == nil {
+	if _, err := s.JoinInto(make([]byte, s.B), [][]byte{make([]byte, 3)}); err == nil {
 		t.Error("wrong block size accepted")
 	}
 }

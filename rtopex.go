@@ -52,23 +52,12 @@ type (
 	Receiver = phy.Receiver
 	// RxResult reports one subframe's decode outcome.
 	RxResult = phy.Result
-	// HARQReceiver accumulates soft bits across retransmissions
-	// (chase/incremental-redundancy combining).
-	HARQReceiver = phy.HARQReceiver
 	// Stage is one receive task: independent subtasks behind a barrier.
 	Stage = phy.Stage
 	// Bandwidth is an LTE channel configuration (use BW5MHz/BW10MHz/BW20MHz).
 	Bandwidth = lte.Bandwidth
 	// Channel is the AWGN/flat-fading model used to exercise the link.
 	Channel = channel.Model
-	// MultipathChannel is the frequency-selective tapped-delay-line model.
-	MultipathChannel = channel.Multipath
-	// DLTransmitter encodes downlink (PDSCH) subframes — the Tx-processing
-	// side of the paper's Fig. 8 timeline.
-	DLTransmitter = phy.DLTransmitter
-	// DLReceiver is the UE-side PDSCH receiver used to validate the node's
-	// downlink encoding.
-	DLReceiver = phy.DLReceiver
 )
 
 // Standard LTE bandwidths.
@@ -84,34 +73,10 @@ func NewTransmitter(cfg PHYConfig) (*Transmitter, error) { return phy.NewTransmi
 // NewReceiver builds a PUSCH receiver.
 func NewReceiver(cfg PHYConfig) (*Receiver, error) { return phy.NewReceiver(cfg) }
 
-// NewHARQReceiver builds a soft-combining HARQ receiver.
-func NewHARQReceiver(cfg PHYConfig) (*HARQReceiver, error) { return phy.NewHARQReceiver(cfg) }
-
-// HARQRVSequence is the LTE redundancy-version cycling order (0, 2, 3, 1).
-var HARQRVSequence = phy.RVSequence
-
 // NewChannel builds an AWGN channel with a flat per-antenna gain.
 func NewChannel(snrDB float64, antennas int, seed uint64) (*Channel, error) {
 	return channel.New(snrDB, antennas, seed)
 }
-
-// NewMultipathChannel builds a frequency-selective fading channel; use the
-// standard channel.EPA / channel.EVA tap profiles via EPAProfile/EVAProfile.
-func NewMultipathChannel(snrDB float64, antennas int, taps []channel.Tap, seed uint64) (*MultipathChannel, error) {
-	return channel.NewMultipath(snrDB, antennas, taps, seed)
-}
-
-// Standard 3GPP delay profiles for NewMultipathChannel.
-var (
-	EPAProfile = channel.EPA
-	EVAProfile = channel.EVA
-)
-
-// NewDLTransmitter builds a PDSCH (downlink) transmitter.
-func NewDLTransmitter(cfg PHYConfig) (*DLTransmitter, error) { return phy.NewDLTransmitter(cfg) }
-
-// NewDLReceiver builds a UE-side PDSCH receiver.
-func NewDLReceiver(cfg PHYConfig) (*DLReceiver, error) { return phy.NewDLReceiver(cfg) }
 
 // Timing model.
 type (
@@ -305,10 +270,6 @@ type (
 	ObsPusher = obs.Pusher
 	// ObsPusherConfig configures an ObsPusher.
 	ObsPusherConfig = obs.PusherConfig
-	// ObsCollector is the central merge point for pushed snapshots.
-	ObsCollector = obs.Collector
-	// ObsCollectorConfig configures an ObsCollector.
-	ObsCollectorConfig = obs.CollectorConfig
 )
 
 // ObsLogConfig carries the shared -log-format/-log-level flag values used
@@ -330,10 +291,6 @@ func DefaultObsSource(labels ...ObsLabel) ObsSource { return obs.DefaultSource(l
 
 // NewObsPusher builds a push client for the collector at cfg.Addr.
 func NewObsPusher(cfg ObsPusherConfig) (*ObsPusher, error) { return obs.NewPusher(cfg) }
-
-// NewObsCollector creates an empty collector (see cmd/obscollect for the
-// serving binary).
-func NewObsCollector(cfg ObsCollectorConfig) *ObsCollector { return obs.NewCollector(cfg) }
 
 // NewObsRegistry creates an empty metrics registry.
 func NewObsRegistry() *ObsRegistry { return obs.NewRegistry() }

@@ -112,35 +112,6 @@ func TestPublicComparators(t *testing.T) {
 	}
 }
 
-func TestPublicHARQ(t *testing.T) {
-	cfg := PHYConfig{Bandwidth: BW10MHz, MCS: 10, Antennas: 2, RNTI: 0x77, CellID: 5}
-	tx, err := NewTransmitter(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := stats.NewRNG(11)
-	p := make([]byte, tx.TBS())
-	bits.RandomBits(p, r.Uint64)
-	h, err := NewHARQReceiver(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, _ := NewChannel(30, 2, 12)
-	rv := HARQRVSequence[0]
-	wave, err := tx.TransmitRV(p, rv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	iq, _ := ch.Apply(wave)
-	res, err := h.Receive(iq, ch.N0(), rv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.OK {
-		t.Fatal("public HARQ decode failed at 30 dB")
-	}
-}
-
 func TestPublicDuplexWorkload(t *testing.T) {
 	w, err := BuildWorkload(WorkloadConfig{
 		Basestations: 2, Subframes: 1000, Antennas: 2, Bandwidth: BW10MHz,
