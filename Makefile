@@ -4,9 +4,8 @@ GO ?= go
 # runs are stable enough for bench-check to be a hard gate.
 BENCHTIME ?= 10x
 # BENCH_PHY matches the PHY fast-path benchmarks (end-to-end serial and
-# parallel, per-stage sub-benchmarks, the decode stage at 30 and 24 dB, and
-# the cross-subframe pipelined window).
-BENCH_PHY = BenchmarkPHY(EndToEnd|FFT|Demod|Decode|Pipelined)
+# parallel, per-stage sub-benchmarks, and the decode stage at 30 and 24 dB).
+BENCH_PHY = BenchmarkPHY(EndToEnd|FFT|Demod|Decode)
 # The flight-recorder overhead pair runs more iterations than the rest:
 # its armed/disabled gate is a median of per-iteration pairs, and 30 pairs
 # keep that median stable enough to hold to ±5%.
@@ -100,10 +99,9 @@ profile-phy:
 		-cpuprofile /tmp/phy.cpu.prof .
 	@echo "wrote /tmp/phy.cpu.prof — inspect with: $(GO) tool pprof -top /tmp/phy.cpu.prof"
 
-# phy-speedup reports whether the parallel fast path and the pipelined
-# window pay off on this host (8 workers vs 1, depth 2 vs 1). The ratios are
-# wall-clock, so a miss is a WARN line, not a failure; it fails only when a
-# benchmark stops producing the sample.
+# phy-speedup reports whether the parallel fast path pays off on this host
+# (8 workers vs 1). The ratio is wall-clock, so a miss is a WARN line, not a
+# failure; it fails only when the benchmark stops producing the sample.
 phy-speedup:
 	sh scripts/phy-speedup.sh
 

@@ -8,10 +8,7 @@ package rtopex
 
 import (
 	"fmt"
-	"runtime/debug"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"rtopex/internal/bits"
 	"rtopex/internal/channel"
@@ -204,102 +201,6 @@ func BenchmarkPHYDecode(b *testing.B) { benchStage(b, phy.TaskDecode) }
 func BenchmarkPHYDecodeQuant(b *testing.B) {
 	rx, iq, n0 := benchSubframeAt(b, 24)
 	benchStageOn(b, rx, iq, n0, phy.TaskDecode)
-}
-
-// BenchmarkPHYPipelined measures cross-subframe pipelining throughput (the
-// paper's Fig. 5 overlap): a depth-D window keeps D subframes in flight, so
-// on multicore hosts depth=2 must raise subframes/s over depth=1. On a
-// single-CPU machine the depths tie (the gate only asserts the ratio when
-// parallelism is physically possible).
-func BenchmarkPHYPipelined(b *testing.B) {
-	for _, depth := range []int{1, 2} {
-		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			cfg := PHYConfig{Bandwidth: BW10MHz, MCS: 27, Antennas: 2, RNTI: 1, CellID: 1}
-			tx, err := NewTransmitter(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			r := stats.NewRNG(1)
-			payload := make([]byte, tx.TBS())
-			bits.RandomBits(payload, r.Uint64)
-			wave, err := tx.Transmit(payload)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ch, err := channel.New(30, 2, 2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			iq, _ := ch.Apply(wave)
-
-			// Prewarm the arena with the steady-state receiver set: the
-			// window holds at most `depth` subframes in flight, and a warm-up
-			// round of submits cannot guarantee every worker runs (one can
-			// drain them all), so borrow-and-return the receivers directly.
-			arena := phy.NewArena()
-			warmRx := make([]*phy.Receiver, depth)
-			for i := range warmRx {
-				rx, err := arena.Get(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				warmRx[i] = rx
-			}
-			for _, rx := range warmRx {
-				arena.Put(rx)
-			}
-
-			var done atomic.Int64
-			var bad atomic.Bool
-			pl, err := phy.NewPipeliner(phy.PipelinerConfig{
-				Arena: arena,
-				Depth: depth,
-				OnDone: func(tag uint64, res phy.Result, err error) {
-					if err != nil || !res.OK {
-						bad.Store(true)
-					}
-					done.Add(1)
-				},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer pl.Close()
-			// The arena is sync.Pool-backed, so a GC between warm-up and
-			// the timed region would drop the warmed receivers and charge a
-			// multi-megabyte rebuild to one arbitrary iteration; park the
-			// collector for a deterministic allocation count.
-			defer debug.SetGCPercent(debug.SetGCPercent(-1))
-			// Warm-up: back-to-back submits saturate the window, so the
-			// arena allocates its steady-state receiver set before the timer
-			// starts and the timed region stays allocation-free.
-			const warm = 4
-			for i := 0; i < warm; i++ {
-				if err := pl.Submit(uint64(i), cfg, iq, ch.N0()); err != nil {
-					b.Fatal(err)
-				}
-			}
-			for done.Load() < warm {
-				time.Sleep(time.Millisecond)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := pl.Submit(uint64(warm+i), cfg, iq, ch.N0()); err != nil {
-					b.Fatal(err)
-				}
-			}
-			for done.Load() < int64(warm+b.N) {
-				time.Sleep(50 * time.Microsecond)
-			}
-			b.StopTimer()
-			if bad.Load() {
-				b.Fatal("pipelined decode failed")
-			}
-			b.ReportMetric(float64(depth), "depth")
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "subframes/s")
-		})
-	}
 }
 
 // BenchmarkPHYEndToEndParallel is the parallel fast path: the same subframe

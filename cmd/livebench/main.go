@@ -3,11 +3,12 @@
 // measurement of how far a garbage-collected runtime sits from the paper's
 // pinned-pthread testbed.
 //
-// The subframe clock is dilated (default 50×: one "1 ms" subframe every
-// 50 ms). The default dates from the scalar chain's tens of milliseconds
-// per MCS-27 subframe; the chain now takes ≈ 1.2–1.9 ms, so -dilation 2
-// already holds the deadline on an idle host. The scheduling geometry —
-// core mapping, utilization ratio, slack fractions — is preserved.
+// The subframe clock is dilated (default 2×: one "1 ms" subframe every
+// 2 ms, what the benchmark ledger runs). An MCS-27 subframe takes
+// ≈ 1.2–1.9 ms, so that holds the deadline on an idle host. The scheduling
+// geometry — core mapping, utilization ratio, slack fractions — is
+// preserved. Each worker core runs its stages' subtasks on -phy-workers
+// goroutines; subframes of one core never overlap.
 //
 // With -http the run carries the full observability surface: /metrics,
 // pprof, /healthz+/readyz probes, the flight recorder's /dossiers, and the
@@ -17,7 +18,7 @@
 //
 // Usage:
 //
-//	livebench -bs 2 -subframes 100 -mcs 13 -dilation 50
+//	livebench -bs 2 -subframes 100 -mcs 13
 //	livebench -bs 4 -subframes 200 -mcs -1          # trace-driven MCS
 //	livebench -http :6060 -flight /tmp/spool \
 //	  -slo 'miss_rate: rtopex_live_missed_total+rtopex_live_dropped_total / rtopex_live_subframes_total <= 0.1% over 5m'
@@ -45,9 +46,8 @@ func main() {
 		antennas  = flag.Int("antennas", 2, "receive antennas")
 		mcs       = flag.Int("mcs", 13, "fixed MCS, or -1 for trace-driven")
 		snr       = flag.Float64("snr", 30, "SNR in dB")
-		dilation  = flag.Float64("dilation", 50, "subframe-clock dilation factor")
+		dilation  = flag.Float64("dilation", 2, "subframe-clock dilation factor")
 		phyWork   = flag.Int("phy-workers", 1, "subtask workers per core (parallel PHY fast path; ≤1 = serial)")
-		pipeDepth = flag.Int("pipeline-depth", 1, "cross-subframe window per core (≥2 overlaps consecutive subframes' stages; ≤1 = serial)")
 		seed      = flag.Uint64("seed", 1, "random seed")
 		httpAddr  = flag.String("http", "", "serve /metrics, /debug/vars, /debug/pprof, health probes and the /api history endpoints on this address (e.g. :6060) during the run")
 		pushAddr  = flag.String("push", "", "stream registry snapshots to the obscollect collector at this address (host:port)")
@@ -181,20 +181,19 @@ func main() {
 		*bs, *subframes, *bs**cores, *dilation, runtime.GOMAXPROCS(0), runtime.NumCPU())
 
 	st, err := realtime.Run(realtime.Config{
-		Basestations:  *bs,
-		CoresPerBS:    *cores,
-		Subframes:     *subframes,
-		Antennas:      *antennas,
-		SNRdB:         *snr,
-		MCS:           *mcs,
-		Profiles:      trace.DefaultProfiles,
-		Dilation:      *dilation,
-		PHYWorkers:    *phyWork,
-		PipelineDepth: *pipeDepth,
-		Seed:          *seed,
-		Tracer:        acct,
-		Obs:           reg,
-		Flight:        rec,
+		Basestations: *bs,
+		CoresPerBS:   *cores,
+		Subframes:    *subframes,
+		Antennas:     *antennas,
+		SNRdB:        *snr,
+		MCS:          *mcs,
+		Profiles:     trace.DefaultProfiles,
+		Dilation:     *dilation,
+		PHYWorkers:   *phyWork,
+		Seed:         *seed,
+		Tracer:       acct,
+		Obs:          reg,
+		Flight:       rec,
 	})
 	if err != nil {
 		fatalf("%v", err)

@@ -60,11 +60,8 @@ func run(args []string, out io.Writer) error {
 	}
 
 	r := stats.NewRNG(*seed)
-	var pool *phy.Pool
-	if *workers > 1 {
-		pool = phy.NewPool(*workers)
-		defer pool.Close()
-	}
+	pool := phy.NewPool(max(*workers, 1))
+	defer pool.Close()
 	arena := phy.NewArena()
 	var obs []model.Observation
 	fmt.Fprintln(out, "profiling Go PHY (this runs the full turbo decoder; expect minutes at scale)...")
@@ -98,8 +95,8 @@ func run(args []string, out io.Writer) error {
 
 // measureOne runs one full subframe through transmit → channel → receive
 // and returns the observation for the model fit. Receivers are borrowed
-// from the arena (so repeated cells reuse warmed scratch) and, when a pool
-// is given, the pipeline stages fan out across its workers.
+// from the arena (so repeated cells reuse warmed scratch) and the pipeline
+// stages fan out across the pool's workers.
 func measureOne(r *stats.RNG, arena *phy.Arena, pool *phy.Pool, mcs, antennas int, snrDB float64) (model.Observation, error) {
 	cfg := phy.Config{
 		Bandwidth: lte.BW10MHz,
@@ -128,12 +125,7 @@ func measureOne(r *stats.RNG, arena *phy.Arena, pool *phy.Pool, mcs, antennas in
 		return model.Observation{}, err
 	}
 	start := time.Now()
-	var res phy.Result
-	if pool != nil {
-		res, err = pool.ProcessParallel(rx, iq, ch.N0())
-	} else {
-		res, err = rx.Process(iq, ch.N0())
-	}
+	res, err := pool.ProcessParallel(rx, iq, ch.N0())
 	if err != nil {
 		return model.Observation{}, err
 	}

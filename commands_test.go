@@ -11,8 +11,10 @@ import (
 
 // TestCommandsStartAndPrintUsage builds every cmd/* binary and runs its
 // -h: each must print its usage and exit cleanly (a flag registered twice
-// panics at start-up), and the daemons that share obs.HistoryFlags must
-// still list the history and SLO flags with their own defaults.
+// panics at start-up), the daemons that share obs.HistoryFlags must still
+// list the history and SLO flags with their own defaults, and livebench
+// must list -dilation at the ledger's 2 and no cross-subframe -pipeline-*
+// flag.
 func TestCommandsStartAndPrintUsage(t *testing.T) {
 	dir := t.TempDir()
 	if out, err := exec.Command("go", "build", "-o", dir+string(filepath.Separator), "./cmd/...").CombinedOutput(); err != nil {
@@ -20,17 +22,20 @@ func TestCommandsStartAndPrintUsage(t *testing.T) {
 	}
 	slo := []string{"slo", "slo-fast", "slo-slow", "slo-pending"}
 	for _, tc := range []struct {
-		cmd             string
-		step, retention string // -history-step/-history-retention defaults; "" when absent
-		flags           []string
+		cmd      string
+		defaults map[string]string // flag -> the default its usage prints
+		flags    []string
+		absent   []string // flag-name prefixes no listed flag may carry
 	}{
 		{cmd: "benchjson"},
-		{cmd: "livebench", step: "1s", retention: "15m0s", flags: slo},
-		{cmd: "obscollect", step: "2s", retention: "1h0m0s", flags: slo},
+		{cmd: "livebench", flags: slo, absent: []string{"pipeline"},
+			defaults: map[string]string{"history-step": "1s", "history-retention": "15m0s", "dilation": "2"}},
+		{cmd: "obscollect", flags: slo,
+			defaults: map[string]string{"history-step": "2s", "history-retention": "1h0m0s"}},
 		{cmd: "phyprof"},
 		{cmd: "rtopex"},
 		{cmd: "rtoptrace"},
-		{cmd: "sweepd", step: "2s", retention: "1h0m0s"},
+		{cmd: "sweepd", defaults: map[string]string{"history-step": "2s", "history-retention": "1h0m0s"}},
 		{cmd: "sweepworker"},
 		{cmd: "tracegen"},
 	} {
@@ -44,14 +49,19 @@ func TestCommandsStartAndPrintUsage(t *testing.T) {
 		if !strings.Contains(usage, "Usage") || strings.Contains(usage, "flag redefined") {
 			t.Errorf("%s -h printed no clean usage:\n%s", tc.cmd, usage)
 		}
-		for name, def := range map[string]string{"history-step": tc.step, "history-retention": tc.retention} {
-			if def != "" && !regexp.MustCompile(`(?m)^  -`+name+` duration\n.*\(default `+def+`\)$`).MatchString(usage) {
+		for name, def := range tc.defaults {
+			if !regexp.MustCompile(`(?m)^  -` + name + ` \w+\n.*\(default ` + def + `\)$`).MatchString(usage) {
 				t.Errorf("%s -h does not list -%s with default %s", tc.cmd, name, def)
 			}
 		}
 		for _, name := range tc.flags {
 			if !strings.Contains(usage, "\n  -"+name+" ") {
 				t.Errorf("%s -h does not list -%s", tc.cmd, name)
+			}
+		}
+		for _, name := range tc.absent {
+			if strings.Contains(usage, "\n  -"+name) {
+				t.Errorf("%s -h still lists a -%s flag", tc.cmd, name)
 			}
 		}
 	}

@@ -38,7 +38,7 @@ type Trigger string
 // Trigger kinds, derived from the event stream itself: a late finish is a
 // deadline miss; a drop whose detail names a pipeline phase is a slack-check
 // drop; "queue-full" means the previous subframe overran its whole window;
-// "rx-unavailable" (and the pipelined variant) is a receiver-arena failure.
+// "rx-unavailable" is a receiver-arena failure.
 const (
 	TriggerDeadlineMiss Trigger = "deadline-miss"
 	TriggerDrop         Trigger = "drop"
@@ -56,7 +56,7 @@ func Classify(e trace.Event) (Trigger, bool) {
 		}
 	case trace.EvDrop:
 		switch e.Detail {
-		case "rx-unavailable", "pipeline-unavailable":
+		case "rx-unavailable":
 			return TriggerArenaFailure, true
 		case "queue-full":
 			return TriggerOverrun, true

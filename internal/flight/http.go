@@ -86,13 +86,15 @@ func (r *Recorder) serveEvents(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
 		return
 	}
+	// Subscribe before the preamble goes out: a client that has seen it may
+	// trigger a dossier at once, and the fan-out must already include us.
+	ch, cancel := r.subscribe()
+	defer cancel()
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
 	fmt.Fprint(w, ": rtopex flight recorder event stream\n\n")
 	fl.Flush()
-	ch, cancel := r.subscribe()
-	defer cancel()
 	for {
 		select {
 		case <-req.Context().Done():

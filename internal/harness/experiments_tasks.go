@@ -53,20 +53,6 @@ func measuredPipeline(arena *phy.Arena, seed uint64) (*phy.Receiver, [][]complex
 	return rx, iq, ch.N0(), nil
 }
 
-// runStage executes a stage's subtasks on the pool (nil runs them serially)
-// and returns the wall-clock duration.
-func runStage(st phy.Stage, pool *phy.Pool) time.Duration {
-	start := time.Now()
-	if pool == nil {
-		for _, sub := range st.Subtasks {
-			sub()
-		}
-		return time.Since(start)
-	}
-	pool.Run(st.Subtasks)
-	return time.Since(start)
-}
-
 // fig4 measures the FFT and decode tasks of the real Go chain on one vs two
 // workers. Absolute times differ from the paper's SSE-optimized OAI build;
 // the reproduced claim is the ~2× speedup with small overhead.
@@ -78,12 +64,11 @@ func fig4(o Options) (*Table, error) {
 	arena := phy.NewArena()
 	t := &Table{ID: "fig4", Title: "Measured Go-PHY task times (ms), MCS 27, N = 2",
 		Columns: []string{"task", "cores", "p50_ms", "min_ms"}}
+	serial := phy.NewPool(1) // runs the stages that feed the measured one
+	defer serial.Close()
 	for _, task := range []phy.TaskName{phy.TaskFFT, phy.TaskDecode} {
 		for _, workers := range []int{1, 2} {
-			var pool *phy.Pool
-			if workers > 1 {
-				pool = phy.NewPool(workers)
-			}
+			pool := phy.NewPool(workers)
 			var samples []float64
 			for i := 0; i < trials; i++ {
 				rx, iq, n0, err := measuredPipeline(arena, o.seed()+uint64(i))
@@ -96,16 +81,16 @@ func fig4(o Options) (*Table, error) {
 				}
 				for _, st := range stages {
 					if st.Name == task {
-						samples = append(samples, runStage(st, pool).Seconds()*1000)
+						start := time.Now()
+						pool.Run(st.Subtasks)
+						samples = append(samples, time.Since(start).Seconds()*1000)
 						break
 					}
-					runStage(st, nil) // earlier stages feed this one
+					serial.Run(st.Subtasks)
 				}
 				arena.Put(rx)
 			}
-			if pool != nil {
-				pool.Close()
-			}
+			pool.Close()
 			t.AddRow(string(task), workers,
 				stats.Quantile(samples, 0.5), stats.Summarize(samples).Min)
 		}

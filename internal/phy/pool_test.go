@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -53,10 +54,30 @@ func TestPoolBarrierBetweenStages(t *testing.T) {
 			buf[i] = 0
 		}
 		sum.Store(0)
-		p.RunStages([]Stage{{Name: "fill", Subtasks: fill}, {Name: "verify", Subtasks: verify}})
+		p.Run(fill)
+		p.Run(verify)
 		if got := sum.Load(); got != want {
 			t.Fatalf("round %d: stage barrier leaked: sum %d, want %d", round, got, want)
 		}
+	}
+}
+
+// TestPoolCloseConcurrent is the regression for the unsynchronized closed
+// flag: many goroutines racing Close (plus repeated serial calls) must leave
+// the pool cleanly stopped. Under -race the pre-fix code fails here.
+func TestPoolCloseConcurrent(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		p := NewPool(4)
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				p.Close()
+			}()
+		}
+		wg.Wait()
+		p.Close() // still idempotent after the race
 	}
 }
 

@@ -12,9 +12,8 @@
 //   - The Go PHY decodes an MCS-27 subframe in ≈ 1.2–1.9 ms (AVX2 turbo
 //     and FFT kernels, scalar demodulation), close to but not inside the
 //     paper's ~1.4 ms at every SNR. Runs therefore use a time-dilation
-//     factor (default 50, a leftover of the scalar chain's tens of
-//     milliseconds; the benchmark ledger runs at 2): with Dilation = 50,
-//     subframes arrive every 50 ms and the processing budget scales
+//     factor (default 2, what the benchmark ledger runs): with Dilation =
+//     2, subframes arrive every 2 ms and the processing budget scales
 //     identically, so the *scheduling geometry* (utilization, slack ratios,
 //     partitioned core mapping) matches the paper's while absolute times
 //     stretch uniformly.
@@ -47,21 +46,15 @@ type Config struct {
 	MCS      int
 	Profiles []trace.Profile
 	// Dilation stretches the 1 ms subframe clock and the 2 ms budget by
-	// the same factor (default 50).
+	// the same factor (default 2).
 	Dilation float64
 	// PHYWorkers is the intra-subframe fan-out: each worker core executes
 	// every pipeline stage's subtasks (per antenna-symbol FFTs, per
 	// code-block decodes, …) on a phy.Pool of this many workers — the
 	// paper's parallel subtask execution, layered on top of the partitioned
-	// core map. ≤1 runs the stages serially with no pool.
+	// core map. ≤1 means a 1-worker pool, which runs the stages serially.
 	PHYWorkers int
-	// PipelineDepth is the cross-subframe window per core: ≥2 lets stage N
-	// of subframe j run concurrently with stage N−1 of subframe j+1 (the
-	// paper's Fig. 5 precedence pipelining) through a phy.Pipeliner, with
-	// receivers for the in-flight window borrowed from the shared arena.
-	// ≤1 keeps the serial one-subframe-at-a-time loop.
-	PipelineDepth int
-	Seed          uint64
+	Seed       uint64
 	// Tracer, when non-nil, receives the run's event stream (arrivals,
 	// starts, per-stage phases, drops, finishes) with times in microseconds
 	// since the feeder epoch. The sink is wrapped with trace.Locked because
@@ -82,7 +75,7 @@ type Config struct {
 
 func (c Config) dilation() float64 {
 	if c.Dilation <= 0 {
-		return 50
+		return 2
 	}
 	return c.Dilation
 }
@@ -253,9 +246,8 @@ func Run(cfg Config) (*Stats, error) {
 	arena.PublishTo(cfg.Obs)
 	var mu sync.Mutex
 
-	// account settles one processed subframe against its deadline — shared
-	// by the serial loop and the pipelined completion callback so both paths
-	// classify outcomes identically.
+	// account settles one processed subframe against its deadline; every
+	// worker core classifies its outcomes through it.
 	account := func(core, bs, idx int, release, start, done time.Time, res phy.Result, perr error) {
 		outcome := "ack"
 		procUS := done.Sub(start).Seconds() * 1e6
@@ -311,17 +303,10 @@ func Run(cfg Config) (*Stats, error) {
 		go func() {
 			defer wg.Done()
 			// Intra-subframe fan-out: one phy.Pool per worker core, so a
-			// core's stage subtasks spread over PHYWorkers goroutines.
-			var pool *phy.Pool
-			if cfg.PHYWorkers > 1 {
-				pool = phy.NewPool(cfg.PHYWorkers)
-				defer pool.Close()
-			}
-			if cfg.PipelineDepth >= 2 {
-				runPipelined(cfg, core, bs, queues[core], pools[bs], mcsAt[bs],
-					arena, pool, tr, emit, lo, account, drop)
-				return
-			}
+			// core's stage subtasks spread over PHYWorkers goroutines (one
+			// worker runs them inline on this goroutine).
+			pool := phy.NewPool(max(cfg.PHYWorkers, 1))
+			defer pool.Close()
 			for j := range queues[core] {
 				pb := pools[bs][mcsAt[bs][j.idx]]
 				rx, err := arenaGet(arena, phyConfig(pb.mcs, cfg.Antennas))
@@ -347,13 +332,7 @@ func Run(cfg Config) (*Stats, error) {
 						if tr != nil {
 							emit(stageStart, core, bs, j.idx, trace.EvPhase, string(stg.Name))
 						}
-						if pool != nil {
-							pool.Run(stg.Subtasks)
-						} else {
-							for _, sub := range stg.Subtasks {
-								sub()
-							}
-						}
+						pool.Run(stg.Subtasks)
 						lo.stage(stg.Name, time.Since(stageStart).Seconds()*1e6)
 					}
 					res = rx.Result()
@@ -396,93 +375,6 @@ func Run(cfg Config) (*Stats, error) {
 		tap.Close()
 	}
 	return st, nil
-}
-
-// runPipelined is one core's job loop with a cross-subframe window: up to
-// cfg.PipelineDepth subframes of this core are in flight at once through a
-// phy.Pipeliner, so stage N of one subframe overlaps stage N−1 of the next
-// (the paper's Fig. 5 precedence pipelining) instead of serializing whole
-// subframes. Outcome accounting flows through the same account/drop paths
-// as the serial loop.
-func runPipelined(cfg Config, core, bs int, queue chan job, pbs []prebuilt, mcsIdx []int,
-	arena *phy.Arena, ppool *phy.Pool, tr trace.Tracer,
-	emit func(at time.Time, core, bs, sf int, kind trace.Kind, detail string),
-	lo *liveObs,
-	account func(core, bs, idx int, release, start, done time.Time, res phy.Result, perr error),
-	drop func(at time.Time, core, bs, idx int, why string)) {
-
-	// In-flight bookkeeping: the pipeliner reports completions by tag (the
-	// subframe index, unique per core) on its own goroutines.
-	type inflight struct {
-		idx     int
-		release time.Time
-		start   time.Time
-	}
-	var pmu sync.Mutex
-	fl := make(map[uint64]*inflight)
-	pl, err := phy.NewPipeliner(phy.PipelinerConfig{
-		Arena: arena,
-		Pool:  ppool,
-		Depth: cfg.PipelineDepth,
-		OnStart: func(tag uint64) {
-			now := time.Now()
-			pmu.Lock()
-			f := fl[tag]
-			f.start = now
-			idx := f.idx
-			pmu.Unlock()
-			if tr != nil {
-				emit(now, core, bs, idx, trace.EvStart, "")
-			}
-		},
-		OnStage: func(tag uint64, stage phy.TaskName, elapsed time.Duration) {
-			if tr != nil {
-				pmu.Lock()
-				idx := fl[tag].idx
-				pmu.Unlock()
-				// The hook fires at stage completion; date the phase event
-				// back to the stage's start like the serial path does.
-				emit(time.Now().Add(-elapsed), core, bs, idx, trace.EvPhase, string(stage))
-			}
-			lo.stage(stage, elapsed.Seconds()*1e6)
-		},
-		OnDone: func(tag uint64, res phy.Result, perr error) {
-			done := time.Now()
-			pmu.Lock()
-			f := fl[tag]
-			delete(fl, tag)
-			pmu.Unlock()
-			if perr != nil {
-				// No receiver for this subframe: same enforcement as the
-				// serial path — recorded, never silently skipped.
-				drop(done, core, bs, f.idx, "rx-unavailable")
-				return
-			}
-			account(core, bs, f.idx, f.release, f.start, done, res, perr)
-		},
-	})
-	if err != nil {
-		// Only reachable with a nil arena; drain the queue as drops so the
-		// run still terminates with honest accounting.
-		for j := range queue {
-			drop(time.Now(), core, bs, j.idx, "pipeline-unavailable")
-		}
-		return
-	}
-	for j := range queue {
-		pb := pbs[mcsIdx[j.idx]]
-		tag := uint64(j.idx)
-		pmu.Lock()
-		fl[tag] = &inflight{idx: j.idx, release: j.release}
-		pmu.Unlock()
-		if err := pl.Submit(tag, phyConfig(pb.mcs, cfg.Antennas), pb.iq, pb.n0); err != nil {
-			pmu.Lock()
-			delete(fl, tag)
-			pmu.Unlock()
-			drop(time.Now(), core, bs, j.idx, "rx-unavailable")
-		}
-	}
-	pl.Close()
 }
 
 func phyConfig(mcs, antennas int) phy.Config {

@@ -180,8 +180,8 @@ func TestLiveRunObserved(t *testing.T) {
 	}
 }
 
-// TestWorkerDecodesPerCodeBlock: the receiver a serial worker (no phy.Pool)
-// borrows carries one decode subtask per code block — the granularity
+// TestWorkerDecodesPerCodeBlock: the receiver a serial worker (1-worker
+// phy.Pool) borrows carries one decode subtask per code block — the granularity
 // Algorithm 1 migrates is a property of the live path itself, not a side
 // effect of PHYWorkers.
 func TestWorkerDecodesPerCodeBlock(t *testing.T) {
@@ -286,50 +286,6 @@ func TestArenaFailureIsRecordedDrop(t *testing.T) {
 	}
 	if got := reg.Counter("rtopex_live_dropped_total").Value(); got != n {
 		t.Fatalf("live dropped counter = %d, want %d", got, n)
-	}
-}
-
-// TestLiveRunPipelined runs the cross-subframe window end to end: with
-// PipelineDepth 2 every subframe must still be accounted exactly once and
-// decode as in the serial mode.
-func TestLiveRunPipelined(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live run is wall-clock bound")
-	}
-	ring := trace.NewRing(0)
-	const n = 8
-	st, err := Run(Config{
-		Basestations:  1,
-		CoresPerBS:    2,
-		Subframes:     n,
-		Antennas:      1,
-		SNRdB:         30,
-		MCS:           0,
-		Dilation:      30,
-		Seed:          6,
-		PipelineDepth: 2,
-		Tracer:        ring,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Subframes != n {
-		t.Fatalf("accounted %d subframes, want %d", st.Subframes, n)
-	}
-	if st.Decoded == 0 {
-		t.Fatal("nothing decoded in pipelined mode")
-	}
-	counts := map[trace.Kind]int{}
-	for _, e := range ring.Events() {
-		counts[e.Event]++
-	}
-	processed := st.Subframes - st.Dropped
-	if counts[trace.EvStart] != processed || counts[trace.EvFinish] != processed {
-		t.Fatalf("start=%d finish=%d for %d processed subframes",
-			counts[trace.EvStart], counts[trace.EvFinish], processed)
-	}
-	if counts[trace.EvPhase] != 4*processed {
-		t.Fatalf("%d phase events for %d processed subframes", counts[trace.EvPhase], processed)
 	}
 }
 
