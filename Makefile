@@ -23,9 +23,9 @@ TRACKED_BENCHES = { \
 	$(GO) test -bench='BenchmarkFlightRecorder' -benchtime=$(FLIGHT_BENCHTIME) -run='^$$' ./internal/harness; \
 	$(GO) test -bench='BenchmarkScrapeEvaluate' -benchtime=$(HISTORY_BENCHTIME) -run='^$$' ./internal/harness; }
 
-.PHONY: ci build build-arm64 test vet race fmt-check unlinked bench-test bench bench-all bench-check trace-demo sweep-check sweep-check-full baselines baselines-full obs-smoke fleet-smoke flight-smoke slo-smoke profile-phy phy-speedup
+.PHONY: ci build build-arm64 no-fma test vet race fmt-check unlinked bench-test bench bench-all bench-check trace-demo sweep-check sweep-check-full baselines baselines-full obs-smoke fleet-smoke flight-smoke slo-smoke profile-phy phy-speedup
 
-ci: vet build build-arm64 race bench-test fmt-check unlinked sweep-check bench-check phy-speedup obs-smoke fleet-smoke flight-smoke slo-smoke
+ci: vet build build-arm64 no-fma race bench-test fmt-check unlinked sweep-check bench-check phy-speedup obs-smoke fleet-smoke flight-smoke slo-smoke
 
 build:
 	$(GO) build ./...
@@ -33,7 +33,16 @@ build:
 # build-arm64 cross-compiles the tree and vets the packages that carry
 # amd64 assembly, so their non-amd64 stubs cannot rot unnoticed.
 build-arm64:
-	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/fft ./internal/turbo ./internal/cpu
+	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/fft ./internal/turbo ./internal/cpu ./internal/modulation ./internal/phy
+
+# no-fma fails when any assembly kernel uses a fused multiply-add: the
+# kernels are bit-identical to their scalar code only because every multiply
+# and add rounds separately, as the compiler's GOAMD64=v1 code does.
+no-fma:
+	@out=$$(grep -il 'vfmadd\|vfmsub\|vfnm' internal/*/*.s); \
+	if [ -n "$$out" ]; then \
+		echo "fused multiply-add in:"; echo "$$out"; exit 1; \
+	fi
 
 vet:
 	$(GO) vet ./...

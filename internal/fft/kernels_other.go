@@ -8,3 +8,7 @@ const kernelsHW = false
 func (p *Plan) kernelTransform(dst, src []complex128, inverse bool) {
 	panic("fft: kernelTransform without hardware support")
 }
+
+func (p *smoothPlan) kernelForward(dst, src []complex128) {
+	panic("fft: kernelForward without hardware support")
+}

@@ -40,25 +40,39 @@ func sameBits(a, b []complex128) (int, bool) {
 	return 0, true
 }
 
-// checkKernelsMatchScalar runs every entry point of the plan for len(in) on
-// the input with the kernels off and on and requires identical bits:
-// in-place Forward and Inverse, the gather entry ForwardFrom, and the
-// inverse gather the dispatcher supports. Each buffer starts at element
+// checkKernelsMatchScalar runs every entry point for len(in) on the input
+// with the kernels off and on and requires identical bits. For a power of
+// two those are the plan's: in-place Forward and Inverse, the gather entry
+// ForwardFrom, and the inverse gather the dispatcher supports. For a
+// 5-smooth length they are the mixed-radix ones: DFTFrom, DFTInto in place,
+// and IDFTInto out of place and in place. Each buffer starts at element
 // offset off of its allocation, so off = 1 gives slices that are 16- but
 // not 32-byte aligned.
 func checkKernelsMatchScalar(t *testing.T, in []complex128, off int) {
 	t.Helper()
 	n := len(in)
-	p := MustPlan(n)
 	src := append(make([]complex128, off, off+n), in...)[off:]
-	entries := []struct {
+	type entry struct {
 		name string
 		run  func(dst []complex128)
-	}{
-		{"Forward", func(dst []complex128) { copy(dst, src); p.Forward(dst) }},
-		{"Inverse", func(dst []complex128) { copy(dst, src); p.Inverse(dst) }},
-		{"ForwardFrom", func(dst []complex128) { p.ForwardFrom(dst, src) }},
-		{"inverse gather", func(dst []complex128) { p.run(dst, src, true) }},
+	}
+	var entries []entry
+	if n&(n-1) == 0 {
+		p := MustPlan(n)
+		entries = []entry{
+			{"Forward", func(dst []complex128) { copy(dst, src); p.Forward(dst) }},
+			{"Inverse", func(dst []complex128) { copy(dst, src); p.Inverse(dst) }},
+			{"ForwardFrom", func(dst []complex128) { p.ForwardFrom(dst, src) }},
+			{"inverse gather", func(dst []complex128) { p.run(dst, src, true) }},
+		}
+	} else {
+		work := make([]complex128, off+WorkLen(n))[off:]
+		entries = []entry{
+			{"DFTFrom", func(dst []complex128) { DFTFrom(dst, src) }},
+			{"DFTInto in place", func(dst []complex128) { copy(dst, src); DFTInto(dst, dst, work) }},
+			{"IDFTInto", func(dst []complex128) { IDFTInto(dst, src, work) }},
+			{"IDFTInto in place", func(dst []complex128) { copy(dst, src); IDFTInto(dst, dst, work) }},
+		}
 	}
 	for _, e := range entries {
 		want := make([]complex128, off+n)[off:]
@@ -144,10 +158,31 @@ func TestKernelsMatchScalar(t *testing.T) {
 	}
 }
 
+// TestSmoothKernelsMatchScalar is the same contract for the mixed-radix
+// combine kernels, at every LTE PUSCH despreading size 12·nPRB with
+// 5-smooth nPRB ≤ 100: odd and even sub-lengths, every radix as the leaf.
+func TestSmoothKernelsMatchScalar(t *testing.T) {
+	skipWithoutKernels(t)
+	for nPRB := 1; nPRB <= 100; nPRB++ {
+		if !isSmooth(nPRB) && nPRB != 1 {
+			continue
+		}
+		n := 12 * nPRB
+		for name, in := range kernelInputs(n) {
+			for off := 0; off <= 1; off++ {
+				t.Run(fmt.Sprintf("n=%d/%s/off=%d", n, name, off), func(t *testing.T) {
+					checkKernelsMatchScalar(t, in, off)
+				})
+			}
+		}
+	}
+}
+
 // FuzzForwardKernelMatchesScalar exposes the same property to the fuzzer:
 // the bytes are read as little-endian float64 pairs (any bit pattern,
-// including NaNs and denormals), truncated to the largest power of two.
-// The seed corpus runs under plain `go test`.
+// including NaNs and denormals); a 5-smooth count is used as is, any other
+// is truncated to the largest power of two. The seed corpus runs under
+// plain `go test`.
 func FuzzForwardKernelMatchesScalar(f *testing.F) {
 	skipWithoutKernels(f)
 	encode := func(x []complex128) []byte {
@@ -163,17 +198,17 @@ func FuzzForwardKernelMatchesScalar(f *testing.F) {
 			f.Add(encode(in), false)
 		}
 	}
+	for _, n := range []int{12, 60, 600} {
+		f.Add(encode(kernelInputs(n)["gaussian"]), n == 60)
+	}
 	f.Add(encode(kernelInputs(1024)["gaussian"]), true)
 	f.Fuzz(func(t *testing.T, data []byte, odd bool) {
-		n := len(data) / 16
+		n := min(len(data)/16, 4096)
 		if n < 2 {
 			return
 		}
-		for n&(n-1) != 0 {
+		for !isSmooth(n) {
 			n &= n - 1
-		}
-		if n > 4096 {
-			n = 4096
 		}
 		in := make([]complex128, n)
 		for i := range in {
@@ -189,6 +224,44 @@ func FuzzForwardKernelMatchesScalar(f *testing.F) {
 	})
 }
 
+// TestIntoVariantsBitIdentical: DFTInto and IDFTInto give the same bits
+// with the kernels on and off, out of place and with dst aliasing src, on
+// the radix-2, mixed-radix and Bluestein paths; DFTInto also matches DFT.
+func TestIntoVariantsBitIdentical(t *testing.T) {
+	r := stats.NewRNG(31)
+	for _, n := range []int{8, 64, 600, 300, 1024, 97} {
+		x := randSignal(r, n)
+		work := make([]complex128, WorkLen(n))
+		run := func(on bool) (fwd, inv, aliased []complex128) {
+			withKernels(on, func() {
+				fwd = make([]complex128, n)
+				DFTInto(fwd, x, work)
+				inv = make([]complex128, n)
+				IDFTInto(inv, x, work)
+				aliased = append([]complex128(nil), x...)
+				IDFTInto(aliased, aliased, work)
+			})
+			return fwd, inv, aliased
+		}
+		wantF, wantI, wantA := run(false)
+		gotF, gotI, gotA := run(kernelsHW)
+		for _, c := range []struct {
+			name      string
+			got, want []complex128
+		}{
+			{"DFTInto", gotF, wantF},
+			{"DFTInto vs DFT", gotF, DFT(x)},
+			{"IDFTInto", gotI, wantI},
+			{"aliased IDFTInto", gotA, wantA},
+			{"aliased vs distinct IDFTInto", gotA, gotI},
+		} {
+			if i, ok := sameBits(c.got, c.want); !ok {
+				t.Fatalf("n=%d %s: bin %d = %v, want %v", n, c.name, i, c.got[i], c.want[i])
+			}
+		}
+	}
+}
+
 func BenchmarkForwardFrom1024(b *testing.B) {
 	p := MustPlan(1024)
 	src := randSignal(stats.NewRNG(9), 1024)
@@ -197,5 +270,21 @@ func BenchmarkForwardFrom1024(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.ForwardFrom(dst, src)
+	}
+}
+
+func BenchmarkIDFTInto600(b *testing.B) {
+	src := randSignal(stats.NewRNG(12), 600)
+	dst := make([]complex128, 600)
+	work := make([]complex128, WorkLen(600))
+	for _, on := range []bool{false, true} {
+		b.Run(fmt.Sprintf("kernels=%v", on), func(b *testing.B) {
+			withKernels(on && kernelsHW, func() {
+				b.ReportAllocs()
+				for b.Loop() {
+					IDFTInto(dst, src, work)
+				}
+			})
+		})
 	}
 }

@@ -20,6 +20,10 @@ import (
 type smoothPlan struct {
 	n      int
 	levels []smoothLevel
+	// leafOff[b] is the src offset of leaf sub-transform b (the one whose
+	// outputs land at dst[b·r:], r the leaf radix) for the AVX2 schedule
+	// in kernelForward; nil where the kernels cannot run.
+	leafOff []int
 }
 
 // smoothLevel describes one recursion depth: all sub-transforms at a depth
@@ -98,7 +102,40 @@ func newSmoothPlan(n int) *smoothPlan {
 		p.levels = append(p.levels, lv)
 		sub = m
 	}
+	if kernelsHW {
+		p.leafOff = p.leafOffsets()
+	}
 	return p
+}
+
+// leafOffsets walks the recursion of forwardInto and records, in output
+// order, where each leaf sub-transform starts reading src.
+func (p *smoothPlan) leafOffsets() []int {
+	var offs []int
+	var walk func(lvl, off, stride int)
+	walk = func(lvl, off, stride int) {
+		L := p.levels[lvl]
+		if L.m == 1 {
+			offs = append(offs, off)
+			return
+		}
+		for q := 0; q < L.r; q++ {
+			walk(lvl+1, off+q*stride, stride*L.r)
+		}
+	}
+	walk(0, 0, 1)
+	return offs
+}
+
+// forward computes the DFT of src into dst, which must not overlap, on the
+// AVX2 kernels where the plan carries their table and on the scalar
+// recursion otherwise. Both produce the same bits.
+func (p *smoothPlan) forward(dst, src []complex128) {
+	if kernelsEnabled && p.leafOff != nil {
+		p.kernelForward(dst, src)
+		return
+	}
+	p.forwardInto(dst, src, 0, 1)
 }
 
 // forwardInto computes the DFT of the n strided samples src[0], src[stride],

@@ -116,32 +116,79 @@ func qpskSign(b byte) float64 {
 	return -1
 }
 
-// Demap computes max-log LLRs for each received symbol given the per-symbol
-// noise variance n0 (complex noise power). Positive LLR means bit 0. The
-// result has Order() entries per symbol, in transmission order.
+// DemapInto computes max-log LLRs for each received symbol given the
+// per-symbol noise variance n0 (complex noise power) into dst, which must
+// hold exactly len(symbols)·Order() entries: Order() LLRs per symbol, in
+// transmission order, positive meaning bit 0. A noise power that is not
+// positive (including NaN) is clamped to 1e-12. Allocation-free — the hot
+// path of the receive chain.
 //
 // For the Gray mappings above the max-log LLRs have closed forms in the
 // I and Q components, which keeps the demapper O(1) per bit.
-func Demap(scheme Scheme, symbols []complex128, n0 float64) []float64 {
-	out := make([]float64, len(symbols)*scheme.Order())
-	DemapInto(out, scheme, symbols, n0)
-	return out
+func DemapInto(dst []float64, scheme Scheme, symbols []complex128, n0 float64) {
+	g := demapGain(dst, scheme, symbols, n0)
+	done := 0
+	if kernelsEnabled {
+		done = demapKernel(dst, nil, scheme, symbols, 1, 1, 1, g)
+	}
+	demapScalar(dst[done*scheme.Order():], scheme, symbols[done:], g)
 }
 
-// DemapInto is Demap into a caller-provided buffer of exactly
-// len(symbols)·Order() entries — the allocation-free hot path of the
-// receive chain. Results are bit-identical to Demap.
-func DemapInto(dst []float64, scheme Scheme, symbols []complex128, n0 float64) {
-	if n0 <= 0 {
-		n0 = 1e-12
+// DemapConjInto is the receiver's de-precoding output stage in one pass:
+// it demaps the symbols y[i] = conj(x[i])·c1·c2 — each part multiplied by
+// c1 and the product by c2, two roundings — and multiplies every LLR by
+// sign[i]. The bits are those of scaling x into a buffer that way, calling
+// DemapInto on it and multiplying dst by sign element by element. sign must
+// have len(dst) entries.
+func DemapConjInto(dst, sign []float64, scheme Scheme, x []complex128, c1, c2, n0 float64) {
+	g := demapGain(dst, scheme, x, n0)
+	if len(sign) != len(dst) {
+		panic(fmt.Sprintf("modulation: DemapConjInto sign length %d, want %d", len(sign), len(dst)))
 	}
 	k := scheme.Order()
-	if len(dst) != len(symbols)*k {
-		panic(fmt.Sprintf("modulation: DemapInto dst length %d, want %d", len(dst), len(symbols)*k))
+	done := 0
+	if kernelsEnabled {
+		done = demapKernel(dst, sign, scheme, x, c1, -c1, c2, g)
 	}
-	// 4/n0 · component is the exact QPSK LLR; the same scaling applies to the
-	// piecewise-linear higher-order expressions below.
-	g := 4 / n0
+	// The rest goes through DemapInto's scalar code a chunk at a time.
+	var y [64]complex128
+	for done < len(x) {
+		chunk := y[:min(len(y), len(x)-done)]
+		for i := range chunk {
+			v := x[done+i]
+			v = complex(real(v)*c1, -imag(v)*c1)
+			chunk[i] = complex(real(v)*c2, imag(v)*c2)
+		}
+		out := dst[done*k : (done+len(chunk))*k]
+		demapScalar(out, scheme, chunk, g)
+		for i, s := range sign[done*k : (done+len(chunk))*k] {
+			out[i] *= s
+		}
+		done += len(chunk)
+	}
+}
+
+// demapGain checks dst's length and the scheme and returns the LLR gain
+// 4/n0 of the clamped noise power: 4/n0 · component is the exact QPSK LLR,
+// and the same scaling applies to the piecewise-linear higher-order
+// expressions.
+func demapGain(dst []float64, scheme Scheme, symbols []complex128, n0 float64) float64 {
+	if !scheme.Valid() {
+		panic(fmt.Sprintf("modulation: unsupported scheme %d", scheme))
+	}
+	if len(dst) != len(symbols)*scheme.Order() {
+		panic(fmt.Sprintf("modulation: demap dst length %d, want %d", len(dst), len(symbols)*scheme.Order()))
+	}
+	if !(n0 > 0) {
+		n0 = 1e-12
+	}
+	return 4 / n0
+}
+
+// demapScalar is the reference demapper, the only definition of the
+// arithmetic: the kernels reproduce it bit for bit, and it runs whatever
+// they leave.
+func demapScalar(dst []float64, scheme Scheme, symbols []complex128, g float64) {
 	switch scheme {
 	case QPSK:
 		for i, s := range symbols {
@@ -170,8 +217,6 @@ func DemapInto(dst []float64, scheme Scheme, symbols []complex128, n0 float64) {
 			dst[6*i+4] = g * a * (2*a - math.Abs(math.Abs(re)-4*a))
 			dst[6*i+5] = g * a * (2*a - math.Abs(math.Abs(im)-4*a))
 		}
-	default:
-		panic(fmt.Sprintf("modulation: unsupported scheme %d", scheme))
 	}
 }
 

@@ -104,23 +104,23 @@ func TestPoolZeroAndSingleWork(t *testing.T) {
 // payload bits, CRC verdicts, and per-block iteration counts. Run under
 // -race in CI, this also shakes out data races between stage subtasks.
 //
-// The grid runs once per FFT path (AVX2 kernels, scalar transform), and the
+// The grid runs once per kernel path (AVX2 kernels, scalar code), and the
 // serial Results of the two paths must be identical as well.
 func TestParallelMatchesSerialGrid(t *testing.T) {
 	var perPath [][]Result
-	eachFFTPath(t, func(t *testing.T) { perPath = append(perPath, parallelSerialGrid(t)) })
+	eachKernelPath(t, func(t *testing.T) { perPath = append(perPath, parallelSerialGrid(t)) })
 	if len(perPath) < 2 {
 		return
 	}
 	for i, want := range perPath[0] {
 		got := perPath[1][i]
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("case %d: scalar-FFT result %+v differs from kernel-FFT result %+v", i, got, want)
+			t.Fatalf("case %d: scalar result %+v differs from kernel result %+v", i, got, want)
 		}
 	}
 }
 
-// parallelSerialGrid runs the grid on the current FFT path and returns a
+// parallelSerialGrid runs the grid on the current kernel path and returns a
 // copy of every serial Result in grid order.
 func parallelSerialGrid(t *testing.T) []Result {
 	var results []Result
@@ -203,7 +203,8 @@ func parallelSerialGrid(t *testing.T) []Result {
 	return results
 }
 
-// TestProcessAllocFree: the steady-state serial hot path must not allocate.
+// TestProcessAllocFree: the steady-state serial hot path must not allocate,
+// on the kernels and on the scalar code.
 func TestProcessAllocFree(t *testing.T) {
 	cfg := testConfig(27, 2)
 	tx, _ := NewTransmitter(cfg)
@@ -211,17 +212,19 @@ func TestProcessAllocFree(t *testing.T) {
 	ch, _ := channel.New(30, 2, 601)
 	iq, _ := ch.Apply(wave)
 	rx, _ := NewReceiver(cfg)
-	if _, err := rx.Process(iq, ch.N0()); err != nil { // warm up
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := rx.Process(iq, ch.N0()); err != nil {
+	eachKernelPath(t, func(t *testing.T) {
+		if _, err := rx.Process(iq, ch.N0()); err != nil { // warm up
 			t.Fatal(err)
 		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := rx.Process(iq, ch.N0()); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("Process allocates %.1f objects per subframe, want 0", allocs)
+		}
 	})
-	if allocs != 0 {
-		t.Fatalf("Process allocates %.1f objects per subframe, want 0", allocs)
-	}
 }
 
 func TestArenaHitsAndMisses(t *testing.T) {

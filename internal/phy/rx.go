@@ -330,11 +330,21 @@ func (rx *Receiver) estimateChannel(a int) {
 	}
 }
 
+// kernelsEnabled selects demodFused, the two-pass AVX2 demodulator, over
+// the scalar loops of demodSymbol, which stay the reference: the bits are
+// the same (TestFrontEndDigests). Which one runs is decided by kernelsHW,
+// the CPUID probe; tests clear the variable to run the scalar code.
+var kernelsEnabled = kernelsHW
+
 // demodSymbol equalizes (MRC), de-precodes and demaps data symbol ds,
 // writing LLRs into the codeword buffer and descrambling them in place.
 func (rx *Receiver) demodSymbol(ds int, n0 float64) {
 	bw := rx.cfg.Bandwidth
 	m := bw.Subcarriers()
+	if kernelsEnabled && m%2 == 0 {
+		rx.demodFused(ds, n0)
+		return
+	}
 	l := dataSymbolIndices[ds]
 	eq := rx.eqBufs[ds][:m]
 	den := rx.denBufs[ds][:m]
@@ -386,6 +396,26 @@ func (rx *Receiver) demodSymbol(ds int, n0 float64) {
 	for i, s := range rx.descramb[base : base+m*qm] {
 		dst[i] *= s
 	}
+}
+
+// demodFused is demodSymbol with each subcarrier read once on the way into
+// the de-precoding IDFT and once on the way out. Pass in (mrcConjAVX2) does
+// the MRC accumulation over all antennas, the clamped reciprocal and the
+// conjugation IDFTInto would apply, writing the IDFT input into the
+// symbol's scratch; the forward transform runs from there into eq; pass out
+// (modulation.DemapConjInto) applies the IDFT's conjugate and 1/M, then √M,
+// as separate multiplies, demaps and descrambles into the codeword buffer.
+func (rx *Receiver) demodFused(ds int, n0 float64) {
+	m := rx.cfg.Bandwidth.Subcarriers()
+	in := rx.idftWork[ds][:m]
+	eq := rx.eqBufs[ds][:m]
+	invDenSum := mrcConjAVX2(&in[0], &rx.chEst[0], &rx.grid[0], dataSymbolIndices[ds], rx.cfg.Antennas, m/2)
+	fft.DFTFrom(eq, in)
+	n0Eff := n0 * invDenSum / float64(m)
+	qm := rx.layout.scheme.Order()
+	base := ds * m * qm
+	modulation.DemapConjInto(rx.llrs[base:base+m*qm], rx.descramb[base:base+m*qm],
+		rx.layout.scheme, eq, 1/float64(m), math.Sqrt(float64(m)), n0Eff)
 }
 
 // decodeBlock rate-dematches and turbo-decodes code block r.
