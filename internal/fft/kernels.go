@@ -3,11 +3,12 @@ package fft
 import "math/bits"
 
 // kernelsEnabled gates dispatch of the power-of-two Plan to the AVX2
-// kernels in kernels_amd64.s. They execute the fused stage-pair schedule of
-// (*Plan).transform on two complex128 per register with the same
-// multiplies, adds and subtracts in the same order and no fused
-// multiply-add, so every output bit matches the scalar transform
-// (TestKernelsMatchScalar); only the speed differs. Which one runs is
+// kernels in kernels_amd64.s and of the mixed-radix smoothPlan to those in
+// smooth_amd64.s. They execute the scalar transform's butterflies on two
+// complex128 per register with the same multiplies, adds and subtracts in
+// the same order and no fused multiply-add, so every output bit matches
+// (TestKernelsMatchScalar, TestSmoothKernelsMatchScalar); only the speed
+// differs. Which one runs is
 // decided by what the code can observe: kernelsHW, the CPUID probe. Tests
 // clear the variable to run the scalar transform on AVX2 hardware.
 var kernelsEnabled = kernelsHW
