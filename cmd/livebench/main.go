@@ -12,9 +12,9 @@
 //
 // With -http the run carries the full observability surface: /metrics,
 // pprof, /healthz+/readyz probes, the flight recorder's /dossiers, and the
-// history plane's /api/series, /api/query, /api/slo and /api/alerts.
-// -slo declares burn-rate objectives over the live counters; a firing
-// alert cross-links the miss dossiers captured inside its window.
+// SLO engine's /api/alerts. -slo declares burn-rate objectives over the
+// live counters; a firing alert cross-links the miss dossiers captured
+// inside its window.
 //
 // Usage:
 //
@@ -85,48 +85,32 @@ func main() {
 	// gains /dossiers and the /events SSE stream.
 	var rec *flight.Recorder
 	var spool *flight.Spool
+	var dossiers obs.DossierSource
 	if *flightDir != "" {
 		spool, err = flight.NewSpool(flight.SpoolConfig{Dir: *flightDir})
 		if err != nil {
 			fatalf("-flight: %v", err)
 		}
 		rec = flight.New(flight.Config{Spool: spool, Registry: reg})
+		dossiers = rec
 	}
 
-	// The history plane: a scraper samples the registry into the TSDB every
-	// -history-step, and the SLO engine (when -slo objectives are declared)
-	// evaluates its burn rates after every scrape, cross-linking the flight
-	// recorder's dossiers onto firing alerts.
-	var (
-		db  *obs.TSDB
-		slo *obs.SLOEngine
-	)
-	objectives := hist.Objectives()
-	if hist.TSDB.Step > 0 {
-		db = obs.NewTSDB(hist.TSDB)
-		if len(objectives) > 0 {
-			slo = obs.NewSLOEngine(db, objectives...)
-			if rec != nil {
-				slo.SetDossierSource(rec)
-			}
-		}
-		scraper := obs.StartScraper(obs.ScraperConfig{
-			DB:       db,
-			Snapshot: reg.Snapshot,
-			SLO:      slo,
-		})
-		defer scraper.Stop()
-	} else if len(objectives) > 0 {
-		fatalf("-slo requires the history store (-history-step > 0)")
+	// The history plane: -slo objectives evaluated over the registry's
+	// counters every -history-step, cross-linking the flight recorder's
+	// dossiers onto firing alerts.
+	slo, stopHistory, err := hist.Start(reg.Snapshot, dossiers)
+	if err != nil {
+		fatalf("%v", err)
 	}
+	defer stopHistory()
 
 	if *httpAddr != "" {
-		extra := obs.HealthRoutes(nil)
+		extra := obs.HealthRoutes()
 		if rec != nil {
 			extra = append(extra, rec.Routes()...)
 		}
-		if db != nil {
-			extra = append(extra, obs.APIRoutes(obs.SingleHistory(db, slo))...)
+		if hist.TSDB.Step > 0 {
+			extra = append(extra, obs.AlertsRoute(slo))
 		}
 		bound, stop, err := obs.Serve(*httpAddr, reg, extra...)
 		if err != nil {
@@ -243,21 +227,12 @@ func main() {
 			rec.Triggers(), rec.Written(), *flightDir, rec.Suppressed())
 	}
 
-	// SLO recap: with history on, report each objective's windowed ratio
-	// and the alert it ended the run in.
+	// SLO recap: the burn rates and state each objective ended the run in.
 	if slo != nil {
 		fmt.Println("\nslo:")
-		for _, s := range slo.Status() {
-			fmt.Printf("  %s: ratio %.4g vs target %.4g over %s — burn fast %.2f slow %.2f, budget used %.0f%% [%s]\n",
-				s.Objective.Name, s.ErrorRatio, s.Objective.Target,
-				time.Duration(s.WindowMS)*time.Millisecond, s.FastBurn, s.SlowBurn,
-				s.BudgetUsed*100, s.State)
-		}
 		for _, a := range slo.Alerts() {
-			if a.State == obs.AlertInactive {
-				continue
-			}
-			fmt.Printf("  alert %s: %s, %d dossier(s) linked\n", a.Objective, a.State, a.DossierCount)
+			fmt.Printf("  %s: burn fast %.2f slow %.2f [%s], %d dossier(s) linked\n",
+				a.Objective, a.FastBurn, a.SlowBurn, a.State, a.DossierCount)
 		}
 	}
 

@@ -18,19 +18,20 @@
 //	POST /dossiers/push   miss-dossier ingest (sweepworker -flight-ship)
 //	GET  /dossiers[/<id>] stored dossier listing / document
 //	GET  /healthz /readyz liveness and readiness probes (unauthenticated)
-//	GET  /api/series /api/query /api/slo /api/alerts
-//	               the history plane: per-source and merged-fleet
-//	               timelines (?source=<id> selects a source; default is
-//	               the merge), SLO burn status, and alerts cross-linking
-//	               the dossiers workers shipped
+//	GET  /api/alerts      with -history-step > 0: the -slo burn-rate alerts,
+//	               each cross-linking the dossiers workers shipped inside
+//	               its window (an empty list without -slo)
 //
-// -slo declares burn-rate objectives over the merged fleet counters
-// (evaluated every -history-step); a firing alert cross-links the miss
-// dossiers ingested inside its window.
+// -slo declares burn-rate objectives over the merged fleet counters: every
+// -history-step the merged snapshot's counters are scraped into the
+// in-process store and the objectives evaluated over it.
 //
-// With -auth-token (or $RTOPEX_AUTH_TOKEN) every endpoint except the
-// health probes requires the matching bearer token; pushers send it via
-// `rtopex -push` / `sweepworker -push` with the same flag or env var.
+// The -listen, -addr-file, -auth-token, -dossier-dir, -quiet and log flags,
+// the mux layout and the shutdown flush come from obs.DaemonFlags, shared
+// with sweepd. With -auth-token (or $RTOPEX_AUTH_TOKEN) every endpoint
+// except the health probes requires the matching bearer token; pushers
+// send it via `rtopex -push` / `sweepworker -push` with the same flag or
+// env var.
 //
 // Sources that stop pushing without a final snapshot (crashed workers) are
 // evicted after -stale of silence. On SIGINT/SIGTERM the final merged
@@ -44,8 +45,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -56,91 +55,37 @@ import (
 
 func main() {
 	var (
-		listen     = flag.String("listen", ":9090", "address to serve on (use 127.0.0.1:0 for an ephemeral port)")
-		stale      = flag.Duration("stale", time.Minute, "evict non-final sources silent longer than this (0 = never)")
-		final      = flag.String("final", "", "flush the merged snapshot to this JSON file on shutdown")
-		dossierDir = flag.String("dossier-dir", "", "flush dossiers shipped by workers to this directory on shutdown")
-		addrFile   = flag.String("addr-file", "", "write the bound address to this file once listening (for scripts)")
-		token      = flag.String("auth-token", "", "require this bearer token on every endpoint (default $RTOPEX_AUTH_TOKEN)")
-		quiet      = flag.Bool("quiet", false, "suppress per-source log lines")
+		stale = flag.Duration("stale", time.Minute, "evict non-final sources silent longer than this (0 = never)")
+		final = flag.String("final", "", "flush the merged snapshot to this JSON file on shutdown")
 	)
+	d := obs.DaemonFlags(nil, ":9090")
 	hist := obs.HistoryFlags(nil, 2*time.Second, time.Hour)
 	hist.SLOFlags()
-	logCfg := obs.LogFlags(nil)
 	flag.Parse()
 
-	logger, err := logCfg.Logger("obscollect", nil)
-	if err != nil {
+	if err := d.Init("obscollect"); err != nil {
 		fmt.Fprintf(os.Stderr, "obscollect: %v\n", err)
 		os.Exit(2)
 	}
-	logf := obs.Printf(logger)
-	clogf := logf
-	if *quiet {
-		clogf = nil
-	}
-	col := obs.NewCollector(obs.CollectorConfig{Stale: *stale, Logf: clogf})
-	dossiers := obs.NewDossierStore(obs.DossierStoreConfig{Logf: clogf})
+	logf := d.Logf
+	col := obs.NewCollector(obs.CollectorConfig{Stale: *stale, Logf: d.Chatty})
 
-	// The history plane: per-source and merged-fleet timelines scraped
-	// every -history-step, with -slo objectives evaluated over the merge
-	// and firing alerts cross-linking the ingested dossiers.
-	var history *obs.FleetHistory
-	objectives := hist.Objectives()
-	if hist.TSDB.Step > 0 {
-		history = obs.NewFleetHistory(col, obs.FleetHistoryConfig{
-			TSDB:       hist.TSDB,
-			Objectives: objectives,
-			Dossiers:   dossiers,
-		})
-		col.AttachHistory(history)
-		history.Start()
-		defer history.Stop()
-	} else if len(objectives) > 0 {
-		logf("-slo requires the history store (-history-step > 0)")
+	// The history plane: -slo objectives evaluated over the merged fleet
+	// counters, firing alerts cross-linking the ingested dossiers.
+	slo, stopHistory, err := hist.Start(col.Merged, d.Dossiers)
+	if err != nil {
+		logf("%v", err)
 		os.Exit(2)
 	}
-
-	ln, err := net.Listen("tcp", *listen)
-	if err != nil {
-		logf("listen: %v", err)
+	defer stopHistory()
+	var extra []obs.Route
+	if hist.TSDB.Step > 0 {
+		extra = append(extra, obs.AlertsRoute(slo))
+	}
+	if err := d.Serve(col.Handler(), extra...); err != nil {
+		logf("%v", err)
 		os.Exit(1)
 	}
-	bound := ln.Addr().String()
-	if *addrFile != "" {
-		if err := os.WriteFile(*addrFile, []byte(bound+"\n"), 0o644); err != nil {
-			logf("addr-file: %v", err)
-			os.Exit(1)
-		}
-	}
-	authToken := obs.AuthTokenFromEnv(*token)
-	auth := "open"
-	if authToken != "" {
-		auth = "bearer-token"
-	}
-	logf("listening on http://%s/ (%s: push, metrics, sources, dump, dossiers)", bound, auth)
-
-	// Health probes stay unauthenticated (orchestrator probes carry no
-	// token); collector and dossier endpoints sit behind the bearer gate.
-	// Construction precedes serving, so /readyz is ready as soon as it
-	// answers.
-	mux := http.NewServeMux()
-	obs.MountHealth(mux, nil)
-	mux.Handle("/dossiers", obs.BearerAuth(authToken, dossiers.Handler()))
-	mux.Handle("/dossiers/", obs.BearerAuth(authToken, dossiers.Handler()))
-	if history != nil {
-		for _, rt := range obs.APIRoutes(history.Resolve) {
-			mux.Handle(rt.Pattern, obs.BearerAuth(authToken, rt.Handler))
-		}
-	}
-	mux.Handle("/", obs.BearerAuth(authToken, col.Handler()))
-	srv := &http.Server{Handler: mux}
-	go func() {
-		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-			logf("serve: %v", err)
-			os.Exit(1)
-		}
-	}()
 
 	// Background eviction keeps the dashboard honest even when nobody
 	// scrapes (the read paths also evict lazily).
@@ -158,7 +103,10 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	s := <-sig
 	logf("%s: shutting down", s)
-	_ = srv.Close()
+	if err := d.Close(); err != nil {
+		logf("%v", err)
+		os.Exit(1)
+	}
 
 	if *final != "" {
 		f, err := os.Create(*final)
@@ -175,12 +123,5 @@ func main() {
 			os.Exit(1)
 		}
 		logf("flushed merged snapshot (%d source(s)) to %s", len(col.Sources()), *final)
-	}
-	if *dossierDir != "" && dossiers.Len() > 0 {
-		if err := dossiers.WriteDir(*dossierDir); err != nil {
-			logf("dossier-dir: %v", err)
-			os.Exit(1)
-		}
-		logf("flushed %d dossier(s) to %s", dossiers.Len(), *dossierDir)
 	}
 }

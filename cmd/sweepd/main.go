@@ -17,15 +17,14 @@
 //	POST /dossiers/push   miss-dossier ingest from sweepworker -flight-ship
 //	GET  /dossiers[/<id>] stored dossier listing / document
 //	GET  /healthz /readyz liveness and readiness probes (unauthenticated)
-//	GET  /api/series /api/query   lease/reclaim/ingest history: the
-//	               coordinator's rtopex_fleet_* counters sampled into the
-//	               in-process time-series store every -history-step
 //
-// With -auth-token (or $RTOPEX_AUTH_TOKEN) every endpoint except the
-// health probes requires the matching bearer token. The artifact store a
-// fleet sweep produces is byte-identical (modulo line order) to a serial
-// sweep.Run of the same spec — scripts/fleet-smoke.sh proves it in CI with
-// a worker SIGKILLed mid-sweep.
+// The -listen, -addr-file, -auth-token, -dossier-dir, -quiet and log flags,
+// the mux layout and the shutdown flush come from obs.DaemonFlags, shared
+// with obscollect. With -auth-token (or $RTOPEX_AUTH_TOKEN) every endpoint
+// except the health probes requires the matching bearer token. The
+// artifact store a fleet sweep produces is byte-identical (modulo line
+// order) to a serial sweep.Run of the same spec — scripts/fleet-smoke.sh
+// proves it in CI with a worker SIGKILLed mid-sweep.
 //
 // Logs are structured (log/slog); -log-format {text,json} and -log-level
 // select the handler shared by all fleet daemons.
@@ -34,8 +33,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"strings"
 	"time"
@@ -48,18 +45,13 @@ import (
 
 func main() {
 	var (
-		listen     = flag.String("listen", ":7600", "address to serve the lease protocol on (use 127.0.0.1:0 for an ephemeral port)")
-		addrFile   = flag.String("addr-file", "", "write the bound address to this file once listening (for scripts)")
-		out        = flag.String("out", "", "merge completed records into this JSON-lines store")
-		resume     = flag.Bool("resume", false, "skip units whose config hash already has a record in -out")
-		leaseTTL   = flag.Duration("lease-ttl", 30*time.Second, "re-lease a unit if its worker is silent this long")
-		attempts   = flag.Int("max-attempts", 3, "lease grants per unit before it fails permanently")
-		baseline   = flag.String("baseline", "", "compare the merged store against this baseline on completion; exit 1 on drift")
-		token      = flag.String("auth-token", "", "require this bearer token on every endpoint (default $RTOPEX_AUTH_TOKEN)")
-		wait       = flag.Duration("wait", 0, "exit 1 if the sweep has not resolved after this long (0 = wait forever)")
-		linger     = flag.Duration("linger", 2*time.Second, "keep serving 'done' responses this long after the sweep resolves so idle workers exit cleanly")
-		dossierDir = flag.String("dossier-dir", "", "flush dossiers shipped by workers to this directory on exit")
-		quiet      = flag.Bool("quiet", false, "suppress per-lease log lines")
+		out      = flag.String("out", "", "merge completed records into this JSON-lines store")
+		resume   = flag.Bool("resume", false, "skip units whose config hash already has a record in -out")
+		leaseTTL = flag.Duration("lease-ttl", 30*time.Second, "re-lease a unit if its worker is silent this long")
+		attempts = flag.Int("max-attempts", 3, "lease grants per unit before it fails permanently")
+		baseline = flag.String("baseline", "", "compare the merged store against this baseline on completion; exit 1 on drift")
+		wait     = flag.Duration("wait", 0, "exit 1 if the sweep has not resolved after this long (0 = wait forever)")
+		linger   = flag.Duration("linger", 2*time.Second, "keep serving 'done' responses this long after the sweep resolves so idle workers exit cleanly")
 
 		exp       = flag.String("exp", "", "comma-separated experiment ids (default: whole registry)")
 		all       = flag.Bool("all", false, "sweep every registered experiment (the default when -exp is empty)")
@@ -76,21 +68,15 @@ func main() {
 		tolSpecs = append(tolSpecs, s)
 		return nil
 	})
-	hist := obs.HistoryFlags(nil, 2*time.Second, time.Hour)
-	logCfg := obs.LogFlags(nil)
+	d := obs.DaemonFlags(nil, ":7600")
 	flag.Parse()
 	_ = all // -all is the default; the flag exists for symmetry with rtopex
 
-	logger, err := logCfg.Logger("sweepd", nil)
-	if err != nil {
+	if err := d.Init("sweepd"); err != nil {
 		fmt.Fprintf(os.Stderr, "sweepd: %v\n", err)
 		os.Exit(2)
 	}
-	logf := obs.Printf(logger)
-	clogf := logf
-	if *quiet {
-		clogf = nil
-	}
+	logf := d.Logf
 	perCol, err := sweep.ParseTolerances(tolSpecs)
 	if err != nil {
 		logf("%v", err)
@@ -117,67 +103,20 @@ func main() {
 		},
 		LeaseTTL:    *leaseTTL,
 		MaxAttempts: *attempts,
-		Logf:        clogf,
+		Logf:        d.Chatty,
 	})
 	if err != nil {
 		logf("%v", err)
 		os.Exit(1)
 	}
 
-	ln, err := net.Listen("tcp", *listen)
-	if err != nil {
-		logf("listen: %v", err)
+	// The coordinator is constructed (store writable, lease ledger loaded)
+	// before serving, so /readyz is ready as soon as it answers.
+	if err := d.Serve(coord.Handler()); err != nil {
+		logf("%v", err)
 		os.Exit(1)
 	}
-	bound := ln.Addr().String()
-	if *addrFile != "" {
-		if err := os.WriteFile(*addrFile, []byte(bound+"\n"), 0o644); err != nil {
-			logf("addr-file: %v", err)
-			os.Exit(1)
-		}
-	}
-	authToken := obs.AuthTokenFromEnv(*token)
-
-	// Workers ship miss dossiers here (sweepworker -flight-ship); the store
-	// keeps them bounded and serves them back for post-mortems.
-	dossiers := obs.NewDossierStore(obs.DossierStoreConfig{Logf: clogf})
-
-	// Health probes stay unauthenticated (orchestrator probes carry no
-	// token); everything else — worker protocol, status pages, dossier
-	// store — sits behind the bearer gate. Readiness holds once the
-	// coordinator is constructed (store writable, lease ledger loaded),
-	// which precedes serving, so /readyz is ready as soon as it answers.
-	mux := http.NewServeMux()
-	obs.MountHealth(mux, nil)
-	mux.Handle("/dossiers", obs.BearerAuth(authToken, dossiers.Handler()))
-	mux.Handle("/dossiers/", obs.BearerAuth(authToken, dossiers.Handler()))
-	// Lease/ingest history: the coordinator's own registry (leases,
-	// reclaims, completions, worker liveness) sampled into a TSDB so the
-	// fleet's churn is queryable over windows, not just cumulatively.
-	if hist.TSDB.Step > 0 {
-		db := obs.NewTSDB(hist.TSDB)
-		scraper := obs.StartScraper(obs.ScraperConfig{
-			DB:       db,
-			Snapshot: coord.Registry().Snapshot,
-		})
-		defer scraper.Stop()
-		for _, rt := range obs.APIRoutes(obs.SingleHistory(db, nil)) {
-			mux.Handle(rt.Pattern, obs.BearerAuth(authToken, rt.Handler))
-		}
-	}
-	mux.Handle("/", obs.BearerAuth(authToken, coord.Handler()))
-	srv := &http.Server{Handler: mux}
-	go func() {
-		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-			logf("serve: %v", err)
-			os.Exit(1)
-		}
-	}()
-	auth := "open"
-	if authToken != "" {
-		auth = "bearer-token"
-	}
-	logf("coordinating on http://%s/ (%s): %d unit(s), lease TTL %s", bound, auth, coord.Summary().Total, *leaseTTL)
+	logf("coordinating %d unit(s), lease TTL %s", coord.Summary().Total, *leaseTTL)
 
 	if err := coord.Wait(*wait); err != nil {
 		logf("%v", err)
@@ -190,17 +129,16 @@ func main() {
 	if *linger > 0 {
 		time.Sleep(*linger)
 	}
-	_ = srv.Close()
+	// Stop serving before the store closes; a failed dossier flush still
+	// lets the store close first.
+	flushErr := d.Close()
 	if err := coord.Close(); err != nil {
 		logf("store: %v", err)
 		os.Exit(1)
 	}
-	if *dossierDir != "" && dossiers.Len() > 0 {
-		if err := dossiers.WriteDir(*dossierDir); err != nil {
-			logf("dossier-dir: %v", err)
-			os.Exit(1)
-		}
-		logf("flushed %d dossier(s) to %s", dossiers.Len(), *dossierDir)
+	if flushErr != nil {
+		logf("%v", flushErr)
+		os.Exit(1)
 	}
 
 	s := coord.Summary()

@@ -11,16 +11,25 @@ import (
 
 // TestCommandsStartAndPrintUsage builds every cmd/* binary and runs its
 // -h: each must print its usage and exit cleanly (a flag registered twice
-// panics at start-up), the daemons that share obs.HistoryFlags must still
-// list the history and SLO flags with their own defaults, and livebench
-// must list -dilation at the ledger's 2 and no cross-subframe -pipeline-*
-// flag.
+// panics at start-up), the daemons that share obs.DaemonFlags must list the
+// shared listen/auth/dossier/log flags with their own defaults, the
+// binaries that share obs.HistoryFlags must still list the history and SLO
+// flags with theirs (sweepd, which has no SLO, none), and livebench must
+// list -dilation at the ledger's 2 and no cross-subframe -pipeline-* flag.
 func TestCommandsStartAndPrintUsage(t *testing.T) {
 	dir := t.TempDir()
 	if out, err := exec.Command("go", "build", "-o", dir+string(filepath.Separator), "./cmd/...").CombinedOutput(); err != nil {
 		t.Fatalf("go build ./cmd/...: %v\n%s", err, out)
 	}
 	slo := []string{"slo", "slo-fast", "slo-slow", "slo-pending"}
+	daemon := []string{"addr-file", "auth-token", "dossier-dir", "quiet"}
+	daemonDefaults := func(listen string, more map[string]string) map[string]string {
+		d := map[string]string{"listen": `"` + listen + `"`, "log-format": `"text"`, "log-level": `"info"`}
+		for k, v := range more {
+			d[k] = v
+		}
+		return d
+	}
 	for _, tc := range []struct {
 		cmd      string
 		defaults map[string]string // flag -> the default its usage prints
@@ -30,12 +39,12 @@ func TestCommandsStartAndPrintUsage(t *testing.T) {
 		{cmd: "benchjson"},
 		{cmd: "livebench", flags: slo, absent: []string{"pipeline"},
 			defaults: map[string]string{"history-step": "1s", "history-retention": "15m0s", "dilation": "2"}},
-		{cmd: "obscollect", flags: slo,
-			defaults: map[string]string{"history-step": "2s", "history-retention": "1h0m0s"}},
+		{cmd: "obscollect", flags: append(daemon, slo...),
+			defaults: daemonDefaults(":9090", map[string]string{"history-step": "2s", "history-retention": "1h0m0s"})},
 		{cmd: "phyprof"},
 		{cmd: "rtopex"},
 		{cmd: "rtoptrace"},
-		{cmd: "sweepd", defaults: map[string]string{"history-step": "2s", "history-retention": "1h0m0s"}},
+		{cmd: "sweepd", flags: daemon, absent: []string{"history", "slo"}, defaults: daemonDefaults(":7600", nil)},
 		{cmd: "sweepworker"},
 		{cmd: "tracegen"},
 	} {
@@ -55,7 +64,7 @@ func TestCommandsStartAndPrintUsage(t *testing.T) {
 			}
 		}
 		for _, name := range tc.flags {
-			if !strings.Contains(usage, "\n  -"+name+" ") {
+			if !regexp.MustCompile(`(?m)^  -` + name + `( |$)`).MatchString(usage) {
 				t.Errorf("%s -h does not list -%s", tc.cmd, name)
 			}
 		}

@@ -220,10 +220,6 @@ func (c *Coordinator) initMetrics(total int) {
 	c.gWorkers = r.Gauge("rtopex_fleet_workers_live")
 }
 
-// Registry exposes the coordinator's metrics registry (for -http serving
-// or embedding).
-func (c *Coordinator) Registry() *obs.Registry { return c.reg }
-
 func (c *Coordinator) logfSafe(format string, args ...any) {
 	if c.logf != nil {
 		c.logf(format, args...)

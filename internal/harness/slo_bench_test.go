@@ -12,8 +12,9 @@ import (
 )
 
 // benchHistory builds a fleet-scale registry (the series mix a livebench or
-// sweep worker actually exposes: labeled counters, gauges, histograms) plus
-// a TSDB and SLO engine over it, with a deterministic advancing clock.
+// sweep worker actually exposes: labeled counters, gauges, histograms — the
+// store keeps only the counters) plus a TSDB and SLO engine over it, with a
+// deterministic advancing clock.
 func benchHistory(b *testing.B) (*obs.Registry, *obs.Scraper, func()) {
 	b.Helper()
 	reg := obs.NewRegistry()
@@ -54,7 +55,7 @@ func benchHistory(b *testing.B) (*obs.Registry, *obs.Scraper, func()) {
 }
 
 // BenchmarkScrapeEvaluate is the history plane's pure cost: one scraper
-// tick — registry snapshot, TSDB observe across every series, and a full
+// tick — registry snapshot, TSDB observe across every counter, and a full
 // SLO evaluation (two burn windows) — over a fleet-scale registry, under a
 // deterministic clock. ns/op is the per-step cost a daemon pays at its
 // -history-step cadence; tracked in BENCH_sweep.json.

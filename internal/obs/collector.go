@@ -31,7 +31,6 @@ type Collector struct {
 	src     map[string]*sourceState
 	evicted int64
 	started time.Time
-	history *FleetHistory
 }
 
 type sourceState struct {
@@ -70,13 +69,23 @@ func NewCollector(cfg CollectorConfig) *Collector {
 // Ingest folds one validated envelope in. Duplicate or out-of-order pushes
 // (seq ≤ the highest seen from that source) refresh the source's liveness
 // but do not change its stored state — the retry idempotence the pusher
-// relies on. Returns whether the envelope replaced the source's state.
+// relies on. Returns whether the envelope replaced the source's state. An
+// envelope carrying a family under another kind than the other tracked
+// sources do is rejected whole, since the merge could not hold both.
 func (c *Collector) Ingest(ws *WireSnapshot) (applied bool, err error) {
-	if err := ws.Validate(); err != nil {
+	kinds, err := ws.validate()
+	if err != nil {
 		return false, err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	for id, st := range c.src {
+		if id != ws.Source.ID && st.ws != nil {
+			if err := st.ws.Snapshot.addKinds(kinds); err != nil {
+				return false, err
+			}
+		}
+	}
 	st, ok := c.src[ws.Source.ID]
 	if !ok {
 		st = &sourceState{}
@@ -349,15 +358,6 @@ func (c *Collector) WriteDashboard(w io.Writer) {
 		if len(lines) > 0 {
 			fmt.Fprintf(w, "\nper-core utilization (%s):\n%s\n", s.Source.ID, strings.Join(lines, "\n"))
 		}
-	}
-
-	// History plane, when attached: merged-timeline sparklines plus
-	// objective status and live alerts.
-	c.mu.Lock()
-	h := c.history
-	c.mu.Unlock()
-	if h != nil {
-		h.writeHistory(w)
 	}
 }
 

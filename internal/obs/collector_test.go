@@ -265,3 +265,55 @@ func TestCollectorDump(t *testing.T) {
 }
 
 var _ io.Reader = (*errAfterReader)(nil)
+
+// TestCollectorRejectsUnmergeablePush: envelopes the merge cannot hold — a
+// negative counter, one family under two kinds, or a family whose kind
+// differs from another source's — are rejected with 400 and store
+// nothing, so the merged view (and /metrics, which renders it) keeps
+// answering. A source may still change a family's kind in its own next
+// push, since that replaces its previous state.
+func TestCollectorRejectsUnmergeablePush(t *testing.T) {
+	col := NewCollector(CollectorConfig{})
+	srv := httptest.NewServer(col.Handler())
+	defer srv.Close()
+	push := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(srv.URL+PushPath, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	env := func(id string, seq int, snap string) string {
+		return fmt.Sprintf(`{"version":1,"source":{"id":%q},"seq":%d,"snapshot":%s}`, id, seq, snap)
+	}
+	for _, bad := range []string{
+		env("evil", 1, `{"counters":[{"name":"x","value":-1}]}`),
+		env("evil", 1, `{"counters":[{"name":"x","value":1}],"gauges":[{"name":"x","value":2}]}`),
+		env("evil", 1, `{"gauges":[{"name":"x","value":1}],"histograms":[{"name":"x","value":{"count":0,"sum":0,"min":0,"max":0}}]}`),
+	} {
+		if code := push(bad); code != http.StatusBadRequest {
+			t.Fatalf("push %s = %d, want 400", bad, code)
+		}
+	}
+	if n := len(col.Sources()); n != 0 {
+		t.Fatalf("rejected pushes stored %d source(s)", n)
+	}
+
+	if code := push(env("a", 1, `{"counters":[{"name":"x","value":3}]}`)); code != http.StatusOK {
+		t.Fatalf("source a push = %d", code)
+	}
+	if code := push(env("b", 1, `{"gauges":[{"name":"x","value":2}]}`)); code != http.StatusBadRequest {
+		t.Fatalf("source b re-kinding a's counter = %d, want 400", code)
+	}
+	if code, body, _ := get(t, srv, "/metrics"); code != http.StatusOK || !strings.Contains(body, "x 3") {
+		t.Fatalf("/metrics after rejected pushes: code=%d body=%q", code, body)
+	}
+	if code := push(env("a", 2, `{"gauges":[{"name":"x","value":4}]}`)); code != http.StatusOK {
+		t.Fatalf("source a re-kinding its own family = %d, want 200", code)
+	}
+	if v, ok := col.Merged().GaugeValue("x"); !ok || v != 4 {
+		t.Fatalf("merged x = %v (ok=%v), want gauge 4", v, ok)
+	}
+}

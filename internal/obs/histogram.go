@@ -210,14 +210,6 @@ type HistogramValue struct {
 	Neg       []BucketCount `json:"neg,omitempty"`
 }
 
-// Mean returns the snapshot's sample mean (NaN when empty).
-func (v HistogramValue) Mean() float64 {
-	if v.Count == 0 {
-		return math.NaN()
-	}
-	return v.Sum / float64(v.Count)
-}
-
 // Quantile returns the q-quantile of the snapshot: the representative value
 // of the bucket holding the ⌈q·count⌉-th smallest sample, clamped to
 // [Min, Max]. Relative error is bounded by 1/(2·histSubBuckets).

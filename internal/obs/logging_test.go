@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -81,50 +79,3 @@ func TestPrintfNil(t *testing.T) {
 		t.Fatal("Printf(nil) should be nil so daemons can pass it straight to Logf fields")
 	}
 }
-
-func TestMountHealth(t *testing.T) {
-	ready := false
-	mux := http.NewServeMux()
-	MountHealth(mux, func() error {
-		if !ready {
-			return errNotReady
-		}
-		return nil
-	})
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-
-	resp, err := http.Get(srv.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/healthz: HTTP %d", resp.StatusCode)
-	}
-
-	resp, err = http.Get(srv.URL + "/readyz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("/readyz before ready: HTTP %d, want 503", resp.StatusCode)
-	}
-
-	ready = true
-	resp, err = http.Get(srv.URL + "/readyz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/readyz after ready: HTTP %d", resp.StatusCode)
-	}
-}
-
-var errNotReady = errNotReadyT{}
-
-type errNotReadyT struct{}
-
-func (errNotReadyT) Error() string { return "lease ledger still loading" }

@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -20,7 +22,7 @@ import (
 // only the TSDB (itself fed by explicit-time Observe calls) and the
 // dossier source, so a seeded run replays identical alert transitions.
 
-// SLOVersion versions the alert/objective JSON schema. Consumers must
+// SLOVersion versions the /api/alerts JSON schema. Consumers must
 // ignore unknown fields; a breaking change (renamed field, changed state
 // set) bumps this and is called out in internal/obs/README.md.
 const SLOVersion = 1
@@ -30,31 +32,31 @@ const SLOVersion = 1
 // is derived, not declared: budget = Target × (denominator increase over
 // Window).
 type Objective struct {
-	// Name identifies the objective in /api/slo and alert payloads.
-	Name string `json:"name"`
+	// Name identifies the objective in alert payloads.
+	Name string
 	// Numerator is the set of counter series IDs summed into the error
 	// count (e.g. missed + dropped).
-	Numerator []string `json:"numerator"`
+	Numerator []string
 	// Denominator is the set of counter series IDs summed into the total.
-	Denominator []string `json:"denominator"`
+	Denominator []string
 	// Target is the maximum acceptable error ratio (0.001 = 0.1%).
-	Target float64 `json:"target"`
+	Target float64
 	// Window is the SLO compliance window (the budget's horizon).
-	Window time.Duration `json:"-"`
+	Window time.Duration
 	// FastWindow is the short burn-rate window (default Window/12, the
 	// SRE-workbook ratio: 5m fast for a 1h slow).
-	FastWindow time.Duration `json:"-"`
+	FastWindow time.Duration
 	// SlowWindow is the long burn-rate window (default Window).
-	SlowWindow time.Duration `json:"-"`
+	SlowWindow time.Duration
 	// BurnThreshold is the burn-rate multiple both windows must exceed to
 	// trip the alert (default 1: burning budget faster than allotted).
-	BurnThreshold float64 `json:"burn_threshold"`
+	BurnThreshold float64
 	// Pending is how long both windows must stay above threshold before
 	// the alert fires (default 0: fire on the first evaluation).
-	Pending time.Duration `json:"-"`
+	Pending time.Duration
 	// MaxDossierLinks caps the dossiers cross-linked onto one alert
 	// (default 8; newest kept).
-	MaxDossierLinks int `json:"-"`
+	MaxDossierLinks int
 }
 
 func (o *Objective) defaults() {
@@ -121,7 +123,7 @@ func ParseObjective(spec string) (Objective, error) {
 		}
 		o.Target = v
 	}
-	if o.Target <= 0 || o.Target >= 1 {
+	if !(o.Target > 0 && o.Target < 1) { // written so NaN fails too
 		return o, fmt.Errorf("obs: objective %q: target must be in (0,1)", spec)
 	}
 	num, den, ok := strings.Cut(ratio, "/")
@@ -210,30 +212,6 @@ type Alert struct {
 	DossierCount int `json:"dossier_count"`
 }
 
-// ObjectiveStatus is the JSON surface of one objective's live evaluation.
-type ObjectiveStatus struct {
-	SLOVersion int       `json:"slo_version"`
-	Objective  Objective `json:"objective"`
-	// WindowMS / FastWindowMS / SlowWindowMS export the durations in ms.
-	WindowMS     int64 `json:"window_ms"`
-	FastWindowMS int64 `json:"fast_window_ms"`
-	SlowWindowMS int64 `json:"slow_window_ms"`
-	// ErrorRatio is the ratio over the full SLO window.
-	ErrorRatio float64 `json:"error_ratio"`
-	// Errors / Total are the window's numerator and denominator increases.
-	Errors float64 `json:"errors"`
-	Total  float64 `json:"total"`
-	// BudgetUsed is the fraction of the window's error budget consumed
-	// (>1 means the SLO is violated over the window).
-	BudgetUsed float64    `json:"budget_used"`
-	FastBurn   float64    `json:"fast_burn"`
-	SlowBurn   float64    `json:"slow_burn"`
-	State      AlertState `json:"state"`
-	// Ready reports whether the store held enough history to evaluate
-	// both burn windows.
-	Ready bool `json:"ready"`
-}
-
 // alertTrack is one objective's mutable alert state.
 type alertTrack struct {
 	state        AlertState
@@ -283,24 +261,23 @@ func (e *SLOEngine) SetDossierSource(s DossierSource) {
 // ok requires every denominator series to answer and the total to be
 // positive; missing numerator series count as zero errors (a source that
 // never missed never creates the series).
-func (e *SLOEngine) ratioOver(o *Objective, w time.Duration) (ratio, errs, total float64, ok bool) {
+func (e *SLOEngine) ratioOver(o *Objective, w time.Duration) (ratio float64, ok bool) {
+	var errs, total float64
 	for _, id := range o.Denominator {
-		d, _, dok := e.db.Increase(id, w)
+		d, dok := e.db.Increase(id, w)
 		if !dok {
-			return 0, 0, 0, false
+			return 0, false
 		}
 		total += d
 	}
 	if total <= 0 {
-		return 0, 0, 0, false
+		return 0, false
 	}
 	for _, id := range o.Numerator {
-		d, _, nok := e.db.Increase(id, w)
-		if nok {
-			errs += d
-		}
+		d, _ := e.db.Increase(id, w)
+		errs += d
 	}
-	return errs / total, errs, total, true
+	return errs / total, true
 }
 
 // Evaluate advances every objective's alert state machine to now.
@@ -314,8 +291,8 @@ func (e *SLOEngine) Evaluate(now time.Time) {
 
 func (e *SLOEngine) evaluate(o *Objective, now time.Time) {
 	t := e.tracks[o.Name]
-	fastRatio, _, _, fastOK := e.ratioOver(o, o.FastWindow)
-	slowRatio, _, _, slowOK := e.ratioOver(o, o.SlowWindow)
+	fastRatio, fastOK := e.ratioOver(o, o.FastWindow)
+	slowRatio, slowOK := e.ratioOver(o, o.SlowWindow)
 	t.fastBurn, t.slowBurn = 0, 0
 	if fastOK {
 		t.fastBurn = fastRatio / o.Target
@@ -427,38 +404,18 @@ func (e *SLOEngine) Alerts() []Alert {
 	return out
 }
 
-// Status returns every objective's live evaluation for /api/slo, sorted by
-// objective name.
-func (e *SLOEngine) Status() []ObjectiveStatus {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]ObjectiveStatus, 0, len(e.objs))
-	for i := range e.objs {
-		o := &e.objs[i]
-		t := e.tracks[o.Name]
-		st := ObjectiveStatus{
-			SLOVersion:   SLOVersion,
-			Objective:    *o,
-			WindowMS:     o.Window.Milliseconds(),
-			FastWindowMS: o.FastWindow.Milliseconds(),
-			SlowWindowMS: o.SlowWindow.Milliseconds(),
-			FastBurn:     t.fastBurn,
-			SlowBurn:     t.slowBurn,
-			State:        t.state,
+// AlertsRoute serves GET /api/alerts: every objective's alert state with
+// its dossier cross-links, stamped with SLOVersion. A nil engine (history
+// on, no objectives declared) serves an empty list.
+func AlertsRoute(e *SLOEngine) Route {
+	return Route{Pattern: "/api/alerts", Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var as []Alert
+		if e != nil {
+			as = e.Alerts()
 		}
-		ratio, errs, total, ok := e.ratioOver(o, o.Window)
-		_, _, _, fastOK := e.ratioOver(o, o.FastWindow)
-		st.Ready = ok && fastOK
-		if ok {
-			st.ErrorRatio = ratio
-			st.Errors = errs
-			st.Total = total
-			st.BudgetUsed = errs / (o.Target * total)
-		}
-		out = append(out, st)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].Objective.Name < out[j].Objective.Name
-	})
-	return out
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		_ = enc.Encode(map[string]any{"slo_version": SLOVersion, "alerts": as})
+	})}
 }

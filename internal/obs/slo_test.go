@@ -43,6 +43,8 @@ func TestParseObjective(t *testing.T) {
 		"x: / b <= 1% over 1h",
 		": a / b <= 1% over 1h",
 		"x: a / b <= 1% over -5m",
+		"x: a / b <= NaN over 1h", // NaN fails every comparison, so it must not pass the range check
+		"x: a / b <= nan% over 1h",
 	} {
 		if _, err := ParseObjective(bad); err == nil {
 			t.Fatalf("ParseObjective(%q) should fail", bad)
@@ -298,35 +300,6 @@ func TestDossierLinkDedupAndCap(t *testing.T) {
 	}
 }
 
-// TestObjectiveStatus: the /api/slo numbers — error ratio, derived budget
-// consumption, readiness — follow directly from the window's increases.
-func TestObjectiveStatus(t *testing.T) {
-	h := newSLOHarness(testObjective(0))
-
-	// Not ready until both burn windows hold ≥ 2 samples.
-	h.tick(0, 100)
-	if st := h.eng.Status(); len(st) != 1 || st[0].Ready {
-		t.Fatalf("status after one sample = %+v, want not ready", st)
-	}
-
-	for i := 0; i < 15; i++ {
-		h.tick(1, 100)
-	}
-	st := h.eng.Status()[0]
-	if !st.Ready || st.State != AlertFiring {
-		t.Fatalf("status = %+v, want ready and firing (1%% ratio at 1%% target)", st)
-	}
-	// Over the 15s window: 15 errors / 1500 total = 1% ratio; budget used =
-	// errs / (target × total) = 15 / 15 = 100%.
-	approx := func(got, want float64) bool { return got > want-1e-9 && got < want+1e-9 }
-	if st.Errors != 15 || st.Total != 1500 || !approx(st.ErrorRatio, 0.01) || !approx(st.BudgetUsed, 1) {
-		t.Fatalf("window math = errors %v total %v ratio %v budget %v", st.Errors, st.Total, st.ErrorRatio, st.BudgetUsed)
-	}
-	if st.WindowMS != 15000 || st.FastWindowMS != 5000 || st.SlowWindowMS != 15000 {
-		t.Fatalf("window export = %+v", st)
-	}
-}
-
 // TestSLOMissingSeries: an absent denominator keeps the objective
 // unevaluated (no burn, no alert); an absent numerator counts zero errors.
 func TestSLOMissingSeries(t *testing.T) {
@@ -344,6 +317,9 @@ func TestSLOMissingSeries(t *testing.T) {
 	if a := eng.Alerts()[0]; a.State != AlertInactive {
 		t.Fatalf("denominator-less alert = %+v, want inactive", a)
 	}
+	if _, ok := eng.ratioOver(&o, o.SlowWindow); ok {
+		t.Fatal("denominator-less ratio answered")
+	}
 
 	// Denominator without numerator: zero errors, zero burn, inactive.
 	db2 := NewTSDB(TSDBConfig{Step: time.Second})
@@ -354,8 +330,42 @@ func TestSLOMissingSeries(t *testing.T) {
 		eng2.Evaluate(now)
 		now = now.Add(time.Second)
 	}
-	st := eng2.Status()[0]
-	if !st.Ready || st.Errors != 0 || st.State != AlertInactive {
-		t.Fatalf("numerator-less status = %+v, want ready with zero errors", st)
+	if r, ok := eng2.ratioOver(&o, o.SlowWindow); !ok || r != 0 {
+		t.Fatalf("numerator-less ratio = %v (ok=%v), want 0", r, ok)
 	}
+	if a := eng2.Alerts()[0]; a.State != AlertInactive || a.SlowBurn != 0 {
+		t.Fatalf("numerator-less alert = %+v, want inactive at zero burn", a)
+	}
+}
+
+// FuzzParseObjective: the -slo parser never panics, and every objective it
+// accepts can be evaluated — a target strictly inside (0,1), non-empty
+// numerator and denominator, and positive windows.
+func FuzzParseObjective(f *testing.F) {
+	for _, seed := range []string{
+		"miss: rtopex_live_missed_total+rtopex_live_dropped_total / rtopex_live_subframes_total <= 0.1% over 1h",
+		"e: a / b <= 0.05 over 10m",
+		"x: a / b <= 150% over 1h",
+		"x: / b <= 1% over 1h",
+		"x: a / b <= NaN over 1h",
+		"x: a / b <= 1% over -5m",
+		"x: a / b <= 1e-9 over 1ns",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		o, err := ParseObjective(spec)
+		if err != nil {
+			return
+		}
+		if !(o.Target > 0 && o.Target < 1) {
+			t.Fatalf("%q: target %v outside (0,1)", spec, o.Target)
+		}
+		if o.Name == "" || len(o.Numerator) == 0 || len(o.Denominator) == 0 {
+			t.Fatalf("%q: empty name, numerator or denominator: %+v", spec, o)
+		}
+		if o.Window <= 0 || o.FastWindow <= 0 || o.SlowWindow <= 0 {
+			t.Fatalf("%q: non-positive window: %+v", spec, o)
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"sort"
 	"strconv"
 )
@@ -98,6 +99,38 @@ func (r *Registry) MergeSnapshot(s *Snapshot) {
 	for _, h := range s.Histograms {
 		r.Histogram(h.Name, h.Labels...).MergeValue(h.Value)
 	}
+}
+
+// addKinds records the kind of every family s carries into kinds, failing
+// on what MergeSnapshot would panic on: a negative counter, or a family
+// whose kind differs from one already recorded.
+func (s *Snapshot) addKinds(kinds map[string]kind) error {
+	add := func(name string, k kind) error {
+		if old, ok := kinds[name]; ok && old != k {
+			return fmt.Errorf("obs: metric %q carried as both %s and %s", name, old, k)
+		}
+		kinds[name] = k
+		return nil
+	}
+	for _, c := range s.Counters {
+		if c.Value < 0 {
+			return fmt.Errorf("obs: counter %q is negative (%d)", c.Name, c.Value)
+		}
+		if err := add(c.Name, counterKind); err != nil {
+			return err
+		}
+	}
+	for _, g := range s.Gauges {
+		if err := add(g.Name, gaugeKind); err != nil {
+			return err
+		}
+	}
+	for _, h := range s.Histograms {
+		if err := add(h.Name, histogramKind); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // CounterValue looks up one counter series by identity (false when absent).

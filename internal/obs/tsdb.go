@@ -2,45 +2,38 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
 
-// The history plane: a fixed-memory, in-process time-series store sampling
-// registry snapshots into per-series ring buffers, answering the windowed
-// queries the snapshot-only plane cannot — "miss rate over the last 30 s",
-// "p99 processing time over the last 5 min" — and feeding the SLO engine
-// (slo.go) its burn-rate inputs.
+// The history plane: a fixed-memory, in-process store sampling the
+// counters of registry snapshots into per-series ring buffers, so the SLO
+// engine (slo.go) can ask the one question the snapshot-only plane cannot
+// answer — "how much did this counter grow over the last N seconds". That
+// windowed increase is the engine's only input, so counters are the only
+// series the store keeps.
 //
 // Design constraints, in order:
 //
-//   - Fixed memory. Ring capacity is Retention/Step per scalar series and
-//     HistogramRetention/Step per histogram series, decided at construction;
-//     a scrape never grows a ring. Series count follows registry
-//     cardinality, which the emitting code already bounds.
-//   - Deterministic. Observe takes the sample time explicitly; every query
+//   - Fixed memory. Ring capacity is Retention/Step per series, decided at
+//     construction; a scrape never grows a ring. Series count follows
+//     registry cardinality, which the emitting code already bounds.
+//   - Deterministic. Observe takes the sample time explicitly and Increase
 //     is anchored at the newest sample, not the wall clock. Replaying the
 //     same (time, snapshot) sequence reproduces every answer bit-for-bit —
 //     the property the SLO engine's seeded alert-transition tests rely on.
-//   - Exact over counters. A windowed counter increase is the difference of
-//     two stored samples, and histogram-delta quantiles subtract bucket
-//     counts integer-for-integer, so windowed answers inherit the
-//     registry's merge-exactness (property-tested in tsdb_test.go).
+//   - Exact. A windowed increase is the difference of two stored samples,
+//     so it inherits the registry's merge-exactness (property-tested in
+//     tsdb_test.go).
 
 // TSDBConfig bounds a TSDB. The zero value is usable.
 type TSDBConfig struct {
 	// Step is the expected scrape interval (default 1s). It sizes the rings
-	// (points = Retention/Step) and is reported by /api/series; Observe does
-	// not enforce it.
+	// (points = Retention/Step) and paces StartScraper; Observe does not
+	// enforce it.
 	Step time.Duration
-	// Retention is how far back scalar (counter/gauge) series answer
-	// queries (default 1h).
+	// Retention is how far back a series answers Increase (default 1h).
 	Retention time.Duration
-	// HistogramRetention bounds histogram series separately (default 10m):
-	// one histogram sample stores every occupied bucket, so an hour of them
-	// costs ~100× an hour of float64s. Raise it only with a coarser Step.
-	HistogramRetention time.Duration
 }
 
 func (c *TSDBConfig) defaults() {
@@ -50,114 +43,81 @@ func (c *TSDBConfig) defaults() {
 	if c.Retention <= 0 {
 		c.Retention = time.Hour
 	}
-	if c.HistogramRetention <= 0 {
-		c.HistogramRetention = 10 * time.Minute
+}
+
+// points is the ring capacity (≥ 2 so every series can answer at least one
+// increase).
+func (c *TSDBConfig) points() int {
+	return max(int(c.Retention/c.Step), 2)
+}
+
+// sample is one stored counter reading.
+type sample struct {
+	t int64   // Unix milliseconds
+	v float64 // cumulative counter value
+}
+
+// ring is one series' retained samples, oldest at head.
+type ring struct {
+	buf  []sample
+	head int
+	n    int
+}
+
+func (r *ring) push(s sample) {
+	if r.n < len(r.buf) {
+		r.buf[(r.head+r.n)%len(r.buf)] = s
+		r.n++
+		return
 	}
+	r.buf[r.head] = s
+	r.head = (r.head + 1) % len(r.buf)
 }
 
-// points converts a retention window into a ring capacity (≥ 2 so every
-// series can answer at least one delta).
-func (c *TSDBConfig) points(retention time.Duration) int {
-	n := int(retention / c.Step)
-	if n < 2 {
-		n = 2
-	}
-	return n
-}
+// at returns the k-th oldest retained sample (0 ≤ k < n).
+func (r *ring) at(k int) sample { return r.buf[(r.head+k)%len(r.buf)] }
 
-// Point is one stored sample of a scalar series.
-type Point struct {
-	// T is the sample time in Unix milliseconds.
-	T int64 `json:"t"`
-	// V is the sampled value (counter cumulative value or gauge reading).
-	V float64 `json:"v"`
-}
-
-// tseries is one series' ring: times always, plus either scalar values or
-// histogram snapshots depending on kind.
-type tseries struct {
-	kind  kind
-	times []int64
-	vals  []float64
-	hists []HistogramValue
-	head  int // index of the oldest sample
-	n     int
-}
-
-func (s *tseries) push(t int64, v float64, h HistogramValue) {
-	var i int
-	if s.n < len(s.times) {
-		i = s.head + s.n
-		if i >= len(s.times) {
-			i -= len(s.times)
-		}
-		s.n++
-	} else {
-		i = s.head
-		s.head++
-		if s.head == len(s.times) {
-			s.head = 0
-		}
-	}
-	s.times[i] = t
-	if s.vals != nil {
-		s.vals[i] = v
-	} else {
-		s.hists[i] = h
-	}
-}
-
-// at returns the k-th oldest retained sample index (0 ≤ k < n).
-func (s *tseries) at(k int) int {
-	i := s.head + k
-	if i >= len(s.times) {
-		i -= len(s.times)
-	}
-	return i
-}
-
-// oldestSince returns the index (into 0..n-1 logical order) of the oldest
-// sample with time ≥ cutoff, or -1 when none qualifies. Samples are pushed
-// in nondecreasing time order, so a binary search applies.
-func (s *tseries) oldestSince(cutoff int64) int {
-	lo, hi := 0, s.n // first k with times[at(k)] >= cutoff
+// oldestSince returns the logical index of the oldest sample with time ≥
+// cutoff, or -1 when none qualifies. Samples are pushed in nondecreasing
+// time order, so a binary search applies.
+func (r *ring) oldestSince(cutoff int64) int {
+	lo, hi := 0, r.n
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if s.times[s.at(mid)] >= cutoff {
+		if r.at(mid).t >= cutoff {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
-	if lo == s.n {
+	if lo == r.n {
 		return -1
 	}
 	return lo
 }
 
-// TSDB is the in-process time-series store. All methods are safe for
-// concurrent use; Observe and the query methods share one mutex, so a
-// scrape and an /api/query never interleave mid-sample.
+// TSDB is the in-process counter store. All methods are safe for
+// concurrent use; Observe and Increase share one mutex, so a scrape and an
+// SLO evaluation never interleave mid-sample.
 type TSDB struct {
-	mu      sync.Mutex
-	cfg     TSDBConfig
-	series  map[string]*tseries
-	scrapes int64
+	mu     sync.Mutex
+	cfg    TSDBConfig
+	series map[string]*ring
 }
 
 // NewTSDB creates an empty store.
 func NewTSDB(cfg TSDBConfig) *TSDB {
 	cfg.defaults()
-	return &TSDB{cfg: cfg, series: map[string]*tseries{}}
+	return &TSDB{cfg: cfg, series: map[string]*ring{}}
 }
 
 // Step reports the configured scrape step.
 func (db *TSDB) Step() time.Duration { return db.cfg.Step }
 
-// Observe samples one snapshot at time t. Every series in the snapshot gets
-// one sample; series absent from the snapshot simply age out of their
-// retention window. Samples must arrive in nondecreasing time order (the
-// scraper guarantees it); an out-of-order sample is dropped.
+// Observe samples the counters of one snapshot at time t; gauges and
+// histograms are ignored. Series absent from the snapshot simply age out of
+// their retention window. Samples must arrive in nondecreasing time order
+// (the scraper guarantees it); an out-of-order sample is dropped.
 func (db *TSDB) Observe(t time.Time, snap *Snapshot) {
 	if snap == nil {
 		return
@@ -165,398 +125,42 @@ func (db *TSDB) Observe(t time.Time, snap *Snapshot) {
 	ms := t.UnixMilli()
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.scrapes++
 	for _, c := range snap.Counters {
-		db.push(SeriesID(c.Name, c.Labels), counterKind, ms, float64(c.Value), HistogramValue{})
-	}
-	for _, g := range snap.Gauges {
-		db.push(SeriesID(g.Name, g.Labels), gaugeKind, ms, g.Value, HistogramValue{})
-	}
-	for _, h := range snap.Histograms {
-		db.push(SeriesID(h.Name, h.Labels), histogramKind, ms, 0, h.Value)
-	}
-}
-
-// Scrapes reports how many snapshots have been observed.
-func (db *TSDB) Scrapes() int64 {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.scrapes
-}
-
-func (db *TSDB) push(id string, k kind, ms int64, v float64, h HistogramValue) {
-	s, ok := db.series[id]
-	if !ok {
-		s = &tseries{kind: k}
-		if k == histogramKind {
-			n := db.cfg.points(db.cfg.HistogramRetention)
-			s.times = make([]int64, n)
-			s.hists = make([]HistogramValue, n)
-		} else {
-			n := db.cfg.points(db.cfg.Retention)
-			s.times = make([]int64, n)
-			s.vals = make([]float64, n)
+		id := SeriesID(c.Name, c.Labels)
+		r, ok := db.series[id]
+		if !ok {
+			r = &ring{buf: make([]sample, db.cfg.points())}
+			db.series[id] = r
 		}
-		db.series[id] = s
-	}
-	if s.kind != k {
-		return // a series that changed kind keeps its original timeline
-	}
-	if s.n > 0 && ms < s.times[s.at(s.n-1)] {
-		return // out-of-order sample
-	}
-	s.push(ms, v, h)
-}
-
-// SeriesInfo describes one stored series for /api/series.
-type SeriesInfo struct {
-	ID      string  `json:"id"`
-	Kind    string  `json:"kind"`
-	Points  int     `json:"points"`
-	FirstMS int64   `json:"first_ms"`
-	LastMS  int64   `json:"last_ms"`
-	Last    float64 `json:"last,omitempty"`
-}
-
-// Series lists the stored series sorted by id.
-func (db *TSDB) Series() []SeriesInfo {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	out := make([]SeriesInfo, 0, len(db.series))
-	for id, s := range db.series {
-		if s.n == 0 {
-			continue
+		if r.n > 0 && ms < r.at(r.n-1).t {
+			continue // out-of-order sample
 		}
-		info := SeriesInfo{
-			ID:      id,
-			Kind:    s.kind.String(),
-			Points:  s.n,
-			FirstMS: s.times[s.at(0)],
-			LastMS:  s.times[s.at(s.n-1)],
-		}
-		if s.vals != nil {
-			info.Last = s.vals[s.at(s.n-1)]
-		}
-		out = append(out, info)
+		r.push(sample{t: ms, v: float64(c.Value)})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// window resolves the [newest−window, newest] sample index range of one
-// series: the newest sample and the oldest retained sample inside the
-// window. ok is false when the series is missing, empty, or has no second
-// in-window sample to difference against.
-func (db *TSDB) window(id string, window time.Duration) (s *tseries, k0, k1 int, ok bool) {
-	s, found := db.series[id]
-	if !found || s.n == 0 {
-		return nil, 0, 0, false
-	}
-	k1 = s.n - 1
-	last := s.times[s.at(k1)]
-	k0 = s.oldestSince(last - window.Milliseconds())
-	if k0 < 0 || k0 >= k1 {
-		return nil, 0, 0, false
-	}
-	return s, k0, k1, true
 }
 
 // Increase returns a counter's increase over the window ending at its
-// newest sample, plus the actual seconds spanned by the two samples used.
-// A decrease (counter reset, e.g. a fleet source evicted mid-run) clamps
-// to the newest value — Prometheus's reset convention. ok is false when
-// the series is absent, is not a counter, or holds fewer than two
-// in-window samples.
-func (db *TSDB) Increase(id string, window time.Duration) (delta, seconds float64, ok bool) {
+// newest sample. A decrease (counter reset, e.g. a fleet source evicted
+// mid-run) clamps to the newest value — Prometheus's reset convention. ok
+// is false when the series is absent or holds fewer than two in-window
+// samples.
+func (db *TSDB) Increase(id string, window time.Duration) (delta float64, ok bool) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	s, k0, k1, ok := db.window(id, window)
-	if !ok || s.kind != counterKind {
-		return 0, 0, false
+	r, found := db.series[id]
+	if !found || r.n == 0 {
+		return 0, false
 	}
-	v0, v1 := s.vals[s.at(k0)], s.vals[s.at(k1)]
-	delta = v1 - v0
+	newest := r.at(r.n - 1)
+	k0 := r.oldestSince(newest.t - window.Milliseconds())
+	if k0 < 0 || k0 >= r.n-1 {
+		return 0, false
+	}
+	delta = newest.v - r.at(k0).v
 	if delta < 0 {
-		delta = v1
+		delta = newest.v
 	}
-	seconds = float64(s.times[s.at(k1)]-s.times[s.at(k0)]) / 1e3
-	return delta, seconds, true
-}
-
-// Rate returns a counter's per-second rate over the window (Increase over
-// the spanned seconds).
-func (db *TSDB) Rate(id string, window time.Duration) (perSecond float64, ok bool) {
-	delta, seconds, ok := db.Increase(id, window)
-	if !ok || seconds <= 0 {
-		return 0, false
-	}
-	return delta / seconds, true
-}
-
-// Last returns a series' newest scalar sample (counters and gauges).
-func (db *TSDB) Last(id string) (Point, bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	s, found := db.series[id]
-	if !found || s.n == 0 || s.vals == nil {
-		return Point{}, false
-	}
-	i := s.at(s.n - 1)
-	return Point{T: s.times[i], V: s.vals[i]}, true
-}
-
-// Avg returns a gauge's mean over the in-window samples (newest-anchored).
-// Single-sample windows are valid: an average needs one point, not a delta.
-func (db *TSDB) Avg(id string, window time.Duration) (float64, bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	s, found := db.series[id]
-	if !found || s.n == 0 || s.kind != gaugeKind {
-		return 0, false
-	}
-	last := s.times[s.at(s.n-1)]
-	k0 := s.oldestSince(last - window.Milliseconds())
-	if k0 < 0 {
-		return 0, false
-	}
-	sum := 0.0
-	for k := k0; k < s.n; k++ {
-		sum += s.vals[s.at(k)]
-	}
-	return sum / float64(s.n-k0), true
-}
-
-// HistogramDelta returns the distribution of samples a histogram observed
-// inside the window: the bucket-wise difference of its newest and oldest
-// in-window snapshots. Quantiles of the returned value are the windowed
-// quantiles (Min/Max tighten to the delta's occupied bucket bounds, so
-// clamping stays inside the window's support).
-func (db *TSDB) HistogramDelta(id string, window time.Duration) (HistogramValue, bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	s, k0, k1, ok := db.window(id, window)
-	if !ok || s.kind != histogramKind {
-		return HistogramValue{}, false
-	}
-	return histogramSub(s.hists[s.at(k1)], s.hists[s.at(k0)]), true
-}
-
-// Points returns the in-window scalar samples, oldest first (for
-// sparklines and /api/query?points=1).
-func (db *TSDB) Points(id string, window time.Duration) []Point {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	s, found := db.series[id]
-	if !found || s.n == 0 || s.vals == nil {
-		return nil
-	}
-	last := s.times[s.at(s.n-1)]
-	k0 := s.oldestSince(last - window.Milliseconds())
-	if k0 < 0 {
-		return nil
-	}
-	out := make([]Point, 0, s.n-k0)
-	for k := k0; k < s.n; k++ {
-		i := s.at(k)
-		out = append(out, Point{T: s.times[i], V: s.vals[i]})
-	}
-	return out
-}
-
-// RatioPoints renders the per-step ratio of two counters' increases as a
-// time series: point k is Δnum/Δden between consecutive samples, skipping
-// steps where the denominator did not move. This is the dashboard's
-// sparkline form of a windowed error ratio (e.g. per-step miss rate).
-func (db *TSDB) RatioPoints(numID, denID string, window time.Duration) []Point {
-	num := db.Points(numID, window)
-	den := db.Points(denID, window)
-	if len(num) < 2 || len(den) < 2 {
-		return nil
-	}
-	// Align by timestamp: scrapes sample both series at the same instant,
-	// but one series may have appeared later.
-	denAt := make(map[int64]float64, len(den))
-	for _, p := range den {
-		denAt[p.T] = p.V
-	}
-	var out []Point
-	for k := 1; k < len(num); k++ {
-		d1, ok1 := denAt[num[k].T]
-		d0, ok0 := denAt[num[k-1].T]
-		if !ok0 || !ok1 || d1 <= d0 {
-			continue
-		}
-		dn := num[k].V - num[k-1].V
-		if dn < 0 {
-			dn = num[k].V
-		}
-		out = append(out, Point{T: num[k].T, V: dn / (d1 - d0)})
-	}
-	return out
-}
-
-// histogramSub returns newer − older bucket-wise: the distribution of
-// samples observed between the two snapshots. Counts clamp at zero (a
-// merged fleet histogram can shrink when a source is evicted). Min/Max are
-// recomputed from the delta's occupied buckets — the snapshot Min/Max
-// describe the whole cumulative history, not the window.
-func histogramSub(newer, older HistogramValue) HistogramValue {
-	d := HistogramValue{
-		Sum: newer.Sum - older.Sum,
-	}
-	sub := func(a, b uint64) uint64 {
-		if a < b {
-			return 0
-		}
-		return a - b
-	}
-	d.Count = sub(newer.Count, older.Count)
-	d.Zero = sub(newer.Zero, older.Zero)
-	d.NonFinite = sub(newer.NonFinite, older.NonFinite)
-	d.Pos = bucketSub(newer.Pos, older.Pos)
-	d.Neg = bucketSub(newer.Neg, older.Neg)
-	if d.Count == 0 {
-		d.Sum = 0
-		return d
-	}
-	// Tight support bounds from the delta's own buckets.
-	min, max, have := deltaBounds(d)
-	if have {
-		d.Min, d.Max = min, max
-	}
-	return d
-}
-
-// deltaBounds derives [min, max] support bounds from a delta histogram's
-// occupied buckets (bucket lower/upper bounds; zero counts as 0).
-func deltaBounds(d HistogramValue) (min, max float64, ok bool) {
-	set := func(lo, hi float64) {
-		if !ok {
-			min, max, ok = lo, hi, true
-			return
-		}
-		if lo < min {
-			min = lo
-		}
-		if hi > max {
-			max = hi
-		}
-	}
-	for _, b := range d.Neg {
-		if b.Count > 0 {
-			lo, hi := bucketBounds(b.Index)
-			set(-hi, -lo)
-		}
-	}
-	if d.Zero > 0 {
-		set(0, 0)
-	}
-	for _, b := range d.Pos {
-		if b.Count > 0 {
-			lo, hi := bucketBounds(b.Index)
-			set(lo, hi)
-		}
-	}
-	return min, max, ok
-}
-
-// bucketSub subtracts two index-sorted bucket lists (newer − older),
-// clamping at zero and dropping empty buckets.
-func bucketSub(newer, older []BucketCount) []BucketCount {
-	if len(newer) == 0 {
-		return nil
-	}
-	oldAt := make(map[int]uint64, len(older))
-	for _, b := range older {
-		oldAt[b.Index] = b.Count
-	}
-	out := make([]BucketCount, 0, len(newer))
-	for _, b := range newer {
-		c := b.Count
-		if o := oldAt[b.Index]; o < c {
-			c -= o
-		} else {
-			c = 0
-		}
-		if c > 0 {
-			out = append(out, BucketCount{Index: b.Index, Count: c})
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// QueryFn names a windowed query function for Query / /api/query.
-type QueryFn string
-
-// Query functions. rate/increase apply to counters, avg/last to scalars,
-// quantile/count/mean to histograms.
-const (
-	FnRate     QueryFn = "rate"
-	FnIncrease QueryFn = "increase"
-	FnAvg      QueryFn = "avg"
-	FnLast     QueryFn = "last"
-	FnQuantile QueryFn = "quantile"
-	FnCount    QueryFn = "count"
-	FnMean     QueryFn = "mean"
-)
-
-// QueryResult is one windowed query answer.
-type QueryResult struct {
-	Series string  `json:"series"`
-	Fn     QueryFn `json:"fn"`
-	// WindowMS is the requested window in milliseconds.
-	WindowMS int64 `json:"window_ms"`
-	// Q echoes the requested quantile for FnQuantile.
-	Q float64 `json:"q,omitempty"`
-	// Value is the answer; valid when OK.
-	Value float64 `json:"value"`
-	OK    bool    `json:"ok"`
-	// Points carries the in-window samples when requested.
-	Points []Point `json:"points,omitempty"`
-}
-
-// Query answers one windowed query. Unknown series or a function/kind
-// mismatch return OK=false, never an error: the history plane is a read
-// surface over whatever the registry happens to hold.
-func (db *TSDB) Query(id string, fn QueryFn, window time.Duration, q float64) QueryResult {
-	res := QueryResult{Series: id, Fn: fn, WindowMS: window.Milliseconds()}
-	switch fn {
-	case FnRate:
-		res.Value, res.OK = db.Rate(id, window)
-	case FnIncrease:
-		res.Value, _, res.OK = db.Increase(id, window)
-	case FnAvg:
-		res.Value, res.OK = db.Avg(id, window)
-	case FnLast:
-		var p Point
-		p, res.OK = db.Last(id)
-		res.Value = p.V
-	case FnQuantile:
-		res.Q = q
-		var hv HistogramValue
-		hv, res.OK = db.HistogramDelta(id, window)
-		if res.OK && hv.Count > 0 {
-			res.Value = hv.Quantile(q)
-		} else {
-			res.OK = false
-		}
-	case FnCount:
-		var hv HistogramValue
-		hv, res.OK = db.HistogramDelta(id, window)
-		res.Value = float64(hv.Count)
-	case FnMean:
-		var hv HistogramValue
-		hv, res.OK = db.HistogramDelta(id, window)
-		if res.OK && hv.Count > 0 {
-			res.Value = hv.Mean()
-		} else {
-			res.OK = false
-		}
-	}
-	return res
+	return delta, true
 }
 
 // Scraper periodically samples a snapshot source into a TSDB and, when an
@@ -628,7 +232,7 @@ func (s *Scraper) Stop() {
 	s.once.Do(func() { close(s.done) })
 }
 
-// ParseWindow parses a query window ("30s", "5m", "1h"), rejecting
+// ParseWindow parses an objective window ("30s", "5m", "1h"), rejecting
 // non-positive results.
 func ParseWindow(s string) (time.Duration, error) {
 	d, err := time.ParseDuration(s)

@@ -2,20 +2,9 @@ package obs
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 	"time"
 )
-
-// histValue looks up one histogram series in a snapshot by canonical id.
-func histValue(snap *Snapshot, id string) (HistogramValue, bool) {
-	for _, h := range snap.Histograms {
-		if SeriesID(h.Name, h.Labels) == id {
-			return h.Value, true
-		}
-	}
-	return HistogramValue{}, false
-}
 
 // rawSample pairs a scrape time with the full snapshot taken then — the
 // "raw registry snapshots" the property test recomputes answers from.
@@ -45,82 +34,14 @@ func naiveWindow(raws []rawSample, window time.Duration) (k0, k1 int, ok bool) {
 	return k0, k1, true
 }
 
-// naiveBucketSub is an independent (map-free, straight-line) reimplementation
-// of windowed bucket subtraction for the property test.
-func naiveBucketSub(newer, older []BucketCount) []BucketCount {
-	oldCount := func(idx int) uint64 {
-		for _, b := range older {
-			if b.Index == idx {
-				return b.Count
-			}
-		}
-		return 0
-	}
-	var out []BucketCount
-	for _, b := range newer {
-		o := oldCount(b.Index)
-		if b.Count > o {
-			out = append(out, BucketCount{Index: b.Index, Count: b.Count - o})
-		}
-	}
-	return out
-}
-
-// naiveHistSub independently recomputes the windowed histogram delta,
-// including the tightened Min/Max support bounds.
-func naiveHistSub(newer, older HistogramValue) HistogramValue {
-	var d HistogramValue
-	sub := func(a, b uint64) uint64 {
-		if a < b {
-			return 0
-		}
-		return a - b
-	}
-	d.Count = sub(newer.Count, older.Count)
-	d.Zero = sub(newer.Zero, older.Zero)
-	d.NonFinite = sub(newer.NonFinite, older.NonFinite)
-	d.Sum = newer.Sum - older.Sum
-	d.Pos = naiveBucketSub(newer.Pos, older.Pos)
-	d.Neg = naiveBucketSub(newer.Neg, older.Neg)
-	if d.Count == 0 {
-		d.Sum = 0
-		return d
-	}
-	first := true
-	grow := func(lo, hi float64) {
-		if first {
-			d.Min, d.Max, first = lo, hi, false
-			return
-		}
-		if lo < d.Min {
-			d.Min = lo
-		}
-		if hi > d.Max {
-			d.Max = hi
-		}
-	}
-	for _, b := range d.Neg {
-		lo, hi := bucketBounds(b.Index)
-		grow(-hi, -lo)
-	}
-	if d.Zero > 0 {
-		grow(0, 0)
-	}
-	for _, b := range d.Pos {
-		lo, hi := bucketBounds(b.Index)
-		grow(lo, hi)
-	}
-	return d
-}
-
 // TestTSDBMatchesRawSnapshots is the history plane's exactness property:
-// every windowed answer the store gives — counter increase/rate, gauge
-// avg/last, histogram-delta fields and quantiles — must equal the answer
+// every windowed counter increase the store gives must equal the increase
 // recomputed directly from the retained raw registry snapshots, at every
-// step boundary of a seeded random run.
+// step boundary of a seeded random run. Gauges and histograms in the same
+// snapshots are not stored.
 func TestTSDBMatchesRawSnapshots(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	cfg := TSDBConfig{Step: time.Second, Retention: 30 * time.Second, HistogramRetention: 10 * time.Second}
+	cfg := TSDBConfig{Step: time.Second, Retention: 30 * time.Second}
 	db := NewTSDB(cfg)
 
 	reg := NewRegistry()
@@ -130,12 +51,8 @@ func TestTSDBMatchesRawSnapshots(t *testing.T) {
 	lat := reg.Histogram("lat_ms")
 
 	counterIDs := []string{"req_total", SeriesID("miss_total", []Label{L("core", "0")})}
-	const histID = "lat_ms"
 	windows := []time.Duration{3 * time.Second, 9 * time.Second, 30 * time.Second, time.Hour}
-	quantiles := []float64{0, 0.25, 0.5, 0.9, 0.99, 1}
-
-	scalarCap := cfg.points(cfg.Retention)
-	histCap := cfg.points(cfg.HistogramRetention)
+	capacity := cfg.points()
 
 	t0 := time.UnixMilli(1_700_000_000_000)
 	var raws []rawSample
@@ -143,110 +60,39 @@ func TestTSDBMatchesRawSnapshots(t *testing.T) {
 		reqs.Add(int64(rng.Intn(50)))
 		miss.Add(int64(rng.Intn(5)))
 		load.Set(rng.Float64() * 64)
-		for i, n := 0, rng.Intn(4); i < n; i++ {
-			switch rng.Intn(4) {
-			case 0:
-				lat.Observe(0)
-			case 1:
-				lat.Observe(-rng.Float64() * 10)
-			default:
-				lat.Observe(rng.Float64() * 100)
-			}
-		}
+		lat.Observe(rng.Float64() * 100)
 		now := t0.Add(time.Duration(step) * cfg.Step)
 		snap := reg.Snapshot()
 		db.Observe(now, snap)
 		raws = append(raws, rawSample{t: now.UnixMilli(), snap: snap})
 
 		// The naive view retains exactly what the rings can hold.
-		scalars := raws
-		if len(scalars) > scalarCap {
-			scalars = scalars[len(scalars)-scalarCap:]
+		retained := raws
+		if len(retained) > capacity {
+			retained = retained[len(retained)-capacity:]
 		}
-		hists := raws
-		if len(hists) > histCap {
-			hists = hists[len(hists)-histCap:]
-		}
-
 		for _, w := range windows {
-			// Counters: increase and rate.
 			for _, id := range counterIDs {
-				k0, k1, wantOK := naiveWindow(scalars, w)
-				delta, seconds, ok := db.Increase(id, w)
+				k0, k1, wantOK := naiveWindow(retained, w)
+				delta, ok := db.Increase(id, w)
 				if ok != wantOK {
 					t.Fatalf("step %d %s window %s: Increase ok=%v, want %v", step, id, w, ok, wantOK)
 				}
 				if !ok {
 					continue
 				}
-				v0, _ := counterByID(scalars[k0].snap, id)
-				v1, _ := counterByID(scalars[k1].snap, id)
-				wantDelta := float64(v1 - v0)
-				wantSeconds := float64(scalars[k1].t-scalars[k0].t) / 1e3
-				if delta != wantDelta || seconds != wantSeconds {
-					t.Fatalf("step %d %s window %s: Increase = (%v, %v), want (%v, %v)",
-						step, id, w, delta, seconds, wantDelta, wantSeconds)
-				}
-				if rate, ok := db.Rate(id, w); !ok || rate != wantDelta/wantSeconds {
-					t.Fatalf("step %d %s window %s: Rate = %v (ok=%v), want %v",
-						step, id, w, rate, ok, wantDelta/wantSeconds)
+				v0, _ := counterByID(retained[k0].snap, id)
+				v1, _ := counterByID(retained[k1].snap, id)
+				if want := float64(v1 - v0); delta != want {
+					t.Fatalf("step %d %s window %s: Increase = %v, want %v", step, id, w, delta, want)
 				}
 			}
-
-			// Gauge: windowed average (single-sample windows are valid).
-			{
-				k1 := len(scalars) - 1
-				cutoff := scalars[k1].t - w.Milliseconds()
-				sum, n := 0.0, 0
-				for _, r := range scalars {
-					if r.t >= cutoff {
-						v, _ := r.snap.GaugeValue("load")
-						sum += v
-						n++
-					}
-				}
-				avg, ok := db.Avg("load", w)
-				if !ok || avg != sum/float64(n) {
-					t.Fatalf("step %d load window %s: Avg = %v (ok=%v), want %v", step, w, avg, ok, sum/float64(n))
-				}
-			}
-
-			// Histogram: delta fields and quantiles.
-			{
-				k0, k1, wantOK := naiveWindow(hists, w)
-				got, ok := db.HistogramDelta(histID, w)
-				if ok != wantOK {
-					t.Fatalf("step %d hist window %s: ok=%v, want %v", step, w, ok, wantOK)
-				}
-				if !ok {
-					continue
-				}
-				older, _ := histValue(hists[k0].snap, histID)
-				newer, _ := histValue(hists[k1].snap, histID)
-				want := naiveHistSub(newer, older)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("step %d hist window %s:\n got  %+v\n want %+v", step, w, got, want)
-				}
-				if want.Count > 0 {
-					for _, q := range quantiles {
-						if g, w2 := got.Quantile(q), want.Quantile(q); g != w2 {
-							t.Fatalf("step %d hist window %s q=%v: %v != %v", step, w, q, g, w2)
-						}
-					}
+			for _, id := range []string{"load", "lat_ms"} {
+				if _, ok := db.Increase(id, w); ok {
+					t.Fatalf("step %d: %s answered Increase, but only counters are stored", step, id)
 				}
 			}
 		}
-
-		// Gauge last always mirrors the newest snapshot.
-		if p, ok := db.Last("load"); !ok {
-			t.Fatalf("step %d: Last(load) missing", step)
-		} else if v, _ := snap.GaugeValue("load"); p.V != v || p.T != now.UnixMilli() {
-			t.Fatalf("step %d: Last(load) = %+v, want (%d, %v)", step, p, now.UnixMilli(), v)
-		}
-	}
-
-	if db.Scrapes() != 100 {
-		t.Fatalf("Scrapes = %d, want 100", db.Scrapes())
 	}
 }
 
@@ -261,8 +107,8 @@ func counterByID(s *Snapshot, id string) (int64, bool) {
 	return 0, false
 }
 
-// TestTSDBRingEviction: a full ring drops its oldest samples; capacity and
-// the advancing first-timestamp prove fixed memory.
+// TestTSDBRingEviction: a full ring drops its oldest samples, so a window
+// wider than retention answers over what is retained.
 func TestTSDBRingEviction(t *testing.T) {
 	db := NewTSDB(TSDBConfig{Step: time.Second, Retention: 5 * time.Second})
 	reg := NewRegistry()
@@ -272,17 +118,13 @@ func TestTSDBRingEviction(t *testing.T) {
 		c.Add(1)
 		db.Observe(t0.Add(time.Duration(i)*time.Second), reg.Snapshot())
 	}
-	infos := db.Series()
-	if len(infos) != 1 {
-		t.Fatalf("Series = %+v, want 1 entry", infos)
-	}
-	got := infos[0]
-	if got.Points != 5 || got.FirstMS != 15_000 || got.LastMS != 19_000 || got.Last != 20 {
-		t.Fatalf("Series[0] = %+v, want 5 points spanning 15000..19000 ending at 20", got)
-	}
-	// A query window larger than retention answers over what is retained.
-	if delta, _, ok := db.Increase("n_total", time.Hour); !ok || delta != 4 {
+	// Five retained samples, 16..20: the increase is 4 however wide the
+	// window, and a 2s window spans the last three.
+	if delta, ok := db.Increase("n_total", time.Hour); !ok || delta != 4 {
 		t.Fatalf("Increase over retention = %v (ok=%v), want 4", delta, ok)
+	}
+	if delta, ok := db.Increase("n_total", 2*time.Second); !ok || delta != 2 {
+		t.Fatalf("Increase over 2s = %v (ok=%v), want 2", delta, ok)
 	}
 }
 
@@ -296,9 +138,8 @@ func TestTSDBCounterReset(t *testing.T) {
 	db.Observe(time.UnixMilli(0), snapAt(100))
 	db.Observe(time.UnixMilli(1000), snapAt(150))
 	db.Observe(time.UnixMilli(2000), snapAt(7)) // reset
-	delta, seconds, ok := db.Increase("n_total", time.Minute)
-	if !ok || delta != 7 || seconds != 2 {
-		t.Fatalf("Increase after reset = (%v, %v, %v), want (7, 2, true)", delta, seconds, ok)
+	if delta, ok := db.Increase("n_total", time.Minute); !ok || delta != 7 {
+		t.Fatalf("Increase after reset = (%v, %v), want (7, true)", delta, ok)
 	}
 }
 
@@ -307,44 +148,14 @@ func TestTSDBCounterReset(t *testing.T) {
 // dropping violations, not reordering).
 func TestTSDBOutOfOrderDropped(t *testing.T) {
 	db := NewTSDB(TSDBConfig{})
-	snap := &Snapshot{Gauges: []GaugeValue{{Name: "g", Value: 1}}}
-	db.Observe(time.UnixMilli(5000), snap)
-	db.Observe(time.UnixMilli(1000), &Snapshot{Gauges: []GaugeValue{{Name: "g", Value: 9}}})
-	if p, ok := db.Last("g"); !ok || p.T != 5000 || p.V != 1 {
-		t.Fatalf("Last = %+v (ok=%v), want the original sample", p, ok)
+	snapAt := func(v int64) *Snapshot {
+		return &Snapshot{Counters: []CounterValue{{Name: "n_total", Value: v}}}
 	}
-}
-
-// TestTSDBKindChange: a series that changes kind keeps its original
-// timeline; the conflicting sample is dropped.
-func TestTSDBKindChange(t *testing.T) {
-	db := NewTSDB(TSDBConfig{})
-	db.Observe(time.UnixMilli(0), &Snapshot{Counters: []CounterValue{{Name: "x", Value: 1}}})
-	db.Observe(time.UnixMilli(1000), &Snapshot{Gauges: []GaugeValue{{Name: "x", Value: 2}}})
-	infos := db.Series()
-	if len(infos) != 1 || infos[0].Kind != "counter" || infos[0].Points != 1 {
-		t.Fatalf("Series = %+v, want one 1-point counter", infos)
-	}
-}
-
-// TestTSDBRatioPoints: per-step ratios align numerator and denominator by
-// timestamp and skip steps where the denominator did not move.
-func TestTSDBRatioPoints(t *testing.T) {
-	db := NewTSDB(TSDBConfig{Step: time.Second, Retention: time.Minute})
-	snapAt := func(errs, total int64) *Snapshot {
-		return &Snapshot{Counters: []CounterValue{
-			{Name: "errs_total", Value: errs},
-			{Name: "total_total", Value: total},
-		}}
-	}
-	db.Observe(time.UnixMilli(0), snapAt(0, 0))
-	db.Observe(time.UnixMilli(1000), snapAt(1, 10))  // ratio 0.1
-	db.Observe(time.UnixMilli(2000), snapAt(1, 10))  // denominator stalled: skipped
-	db.Observe(time.UnixMilli(3000), snapAt(6, 110)) // ratio 5/100
-	pts := db.RatioPoints("errs_total", "total_total", time.Minute)
-	want := []Point{{T: 1000, V: 0.1}, {T: 3000, V: 0.05}}
-	if !reflect.DeepEqual(pts, want) {
-		t.Fatalf("RatioPoints = %+v, want %+v", pts, want)
+	db.Observe(time.UnixMilli(5000), snapAt(5))
+	db.Observe(time.UnixMilli(1000), snapAt(90))
+	db.Observe(time.UnixMilli(6000), snapAt(6))
+	if delta, ok := db.Increase("n_total", time.Minute); !ok || delta != 1 {
+		t.Fatalf("Increase = %v (ok=%v), want 1 from the in-order samples", delta, ok)
 	}
 }
 
@@ -365,64 +176,11 @@ func TestScraperTickDeterministic(t *testing.T) {
 		s.Tick()
 		now = now.Add(time.Second)
 	}
-	if db.Scrapes() != 3 {
-		t.Fatalf("Scrapes = %d, want 3", db.Scrapes())
-	}
-	if delta, _, ok := db.Increase("n_total", time.Minute); !ok || delta != 10 {
+	if delta, ok := db.Increase("n_total", time.Minute); !ok || delta != 10 {
 		t.Fatalf("Increase = %v (ok=%v), want 10 over the 3 ticks", delta, ok)
 	}
 	s.Stop()
 	s.Stop() // idempotent, including on a never-started scraper
-}
-
-// TestQueryDispatch: Query routes each fn to the right underlying method
-// and answers OK=false (never an error) on mismatches.
-func TestQueryDispatch(t *testing.T) {
-	db := NewTSDB(TSDBConfig{Step: time.Second})
-	reg := NewRegistry()
-	c := reg.Counter("n_total")
-	g := reg.Gauge("g")
-	h := reg.Histogram("h")
-	for i := 0; i < 5; i++ {
-		c.Add(10)
-		g.Set(float64(i))
-		h.Observe(float64(i + 1))
-		db.Observe(time.UnixMilli(int64(i)*1000), reg.Snapshot())
-	}
-	w := time.Minute
-	if r := db.Query("n_total", FnRate, w, 0); !r.OK || r.Value != 10 {
-		t.Fatalf("rate = %+v, want 10/s", r)
-	}
-	if r := db.Query("n_total", FnIncrease, w, 0); !r.OK || r.Value != 40 {
-		t.Fatalf("increase = %+v, want 40", r)
-	}
-	if r := db.Query("g", FnAvg, w, 0); !r.OK || r.Value != 2 {
-		t.Fatalf("avg = %+v, want 2", r)
-	}
-	if r := db.Query("g", FnLast, w, 0); !r.OK || r.Value != 4 {
-		t.Fatalf("last = %+v, want 4", r)
-	}
-	if r := db.Query("h", FnCount, w, 0); !r.OK || r.Value != 4 {
-		t.Fatalf("count = %+v, want 4 in-window observations", r)
-	}
-	if r := db.Query("h", FnQuantile, w, 0.5); !r.OK || r.Value <= 0 {
-		t.Fatalf("quantile = %+v, want a positive median", r)
-	}
-	if r := db.Query("h", FnMean, w, 0); !r.OK || r.Value <= 0 {
-		t.Fatalf("mean = %+v, want positive", r)
-	}
-	// Mismatches and unknowns: OK=false.
-	for _, bad := range []QueryResult{
-		db.Query("g", FnRate, w, 0),                 // gauge is not a counter
-		db.Query("n_total", FnAvg, w, 0),            // counter is not a gauge
-		db.Query("h", FnRate, w, 0),                 // histogram is not a counter
-		db.Query("absent", FnRate, w, 0),            // unknown series
-		db.Query("n_total", QueryFn("bogus"), w, 0), // unknown fn
-	} {
-		if bad.OK {
-			t.Fatalf("query %+v should not be OK", bad)
-		}
-	}
 }
 
 // TestParseWindow: accepted forms and rejections.

@@ -74,22 +74,34 @@ type WireSnapshot struct {
 }
 
 // Validate checks the envelope's invariants (after defaulting Version 0 is
-// invalid — encoders always stamp one).
+// invalid — encoders always stamp one), including that its snapshot merges:
+// no negative counter and no family carried under two kinds.
 func (ws *WireSnapshot) Validate() error {
+	_, err := ws.validate()
+	return err
+}
+
+// validate is Validate returning the snapshot's family kinds, which the
+// collector checks against its other sources.
+func (ws *WireSnapshot) validate() (map[string]kind, error) {
 	if ws == nil {
-		return fmt.Errorf("obs: nil wire snapshot")
+		return nil, fmt.Errorf("obs: nil wire snapshot")
 	}
 	if !readableWireVersions[ws.Version] {
-		return fmt.Errorf("obs: wire version %d not supported (this build reads %v, writes %d)",
+		return nil, fmt.Errorf("obs: wire version %d not supported (this build reads %v, writes %d)",
 			ws.Version, sortedWireVersions(), WireVersion)
 	}
 	if ws.Source.ID == "" {
-		return fmt.Errorf("obs: wire snapshot without source id")
+		return nil, fmt.Errorf("obs: wire snapshot without source id")
 	}
 	if ws.Snapshot == nil {
-		return fmt.Errorf("obs: wire snapshot without payload")
+		return nil, fmt.Errorf("obs: wire snapshot without payload")
 	}
-	return nil
+	kinds := map[string]kind{}
+	if err := ws.Snapshot.addKinds(kinds); err != nil {
+		return nil, err
+	}
+	return kinds, nil
 }
 
 func sortedWireVersions() []int {

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -161,4 +162,55 @@ func TestWireVersionAndValidation(t *testing.T) {
 	if err := EncodeWire(&buf, &WireSnapshot{Snapshot: snap}); err == nil {
 		t.Fatal("encode accepted an envelope without a source id")
 	}
+}
+
+// FuzzDecodeWire: any envelope DecodeWire accepts must survive the
+// collector — Ingest, Merged and the /metrics rendering — without
+// panicking, and re-encode to bytes that decode and re-encode identically.
+func FuzzDecodeWire(f *testing.F) {
+	for seed := int64(0); seed < 4; seed++ {
+		var buf bytes.Buffer
+		ws := &WireSnapshot{Source: Source{ID: fmt.Sprint("src-", seed)}, Seq: 1, Snapshot: randomRegistry(rand.New(rand.NewSource(seed))).Snapshot()}
+		if err := EncodeWire(&buf, ws); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	for _, s := range []string{
+		`{"version":1,"source":{"id":"s"},"seq":1,"snapshot":{}}`,
+		`{"version":99,"source":{"id":"s"},"seq":1,"snapshot":{}}`,
+		`{"version":1,"source":{"id":"evil"},"seq":1,"snapshot":{"counters":[{"name":"x","value":-1}]}}`,
+		`{"version":1,"source":{"id":"s"},"seq":1,"snapshot":{"counters":[{"name":"x","value":1}],"gauges":[{"name":"x","value":2}]}}`,
+		`{"version":1,"source":{"id":"s"},"seq":2,"final":true,"snapshot":{"histograms":[{"name":"h","value":{"count":3,"sum":1,"min":-1,"max":9,"zero":1,"pos":[{"i":99999,"n":1}],"neg":[{"i":-7,"n":1}]}}],"help":{"h":"x"}}}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ws, err := DecodeWire(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		col := NewCollector(CollectorConfig{})
+		if _, err := col.Ingest(ws); err != nil {
+			t.Fatalf("Ingest rejected an envelope DecodeWire accepted: %v", err)
+		}
+		col.Merged()
+		if err := col.MergedRegistry().WriteProm(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		var once, twice bytes.Buffer
+		if err := EncodeWire(&once, ws); err != nil {
+			t.Fatalf("EncodeWire rejected a decoded envelope: %v", err)
+		}
+		again, err := DecodeWire(bytes.NewReader(once.Bytes()))
+		if err != nil {
+			t.Fatalf("re-decode: %v\n%s", err, once.Bytes())
+		}
+		if err := EncodeWire(&twice, again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatalf("encoding not stable across a round trip:\n%s\n%s", once.Bytes(), twice.Bytes())
+		}
+	})
 }
