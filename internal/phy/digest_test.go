@@ -80,3 +80,62 @@ func TestFrontEndDigests(t *testing.T) {
 		})
 	}
 }
+
+// TestDecodeDigest pins what the decode stage hands back — payload bits,
+// the transport-block verdict, and every code block's CRC verdict and
+// iteration count — over 16 consecutive MCS-27, 2-antenna, 15 dB subframes
+// on one receiver, where every code block runs turbo iterations. The digest
+// was captured before the constituent passes were rescheduled and the LLR
+// quantizer got its kernel, and holds on both kernel paths.
+func TestDecodeDigest(t *testing.T) {
+	const pinned uint64 = 0xee26b31fbbbf3e58
+	cfg := testConfig(27, 2)
+	cfg.MaxIterations = 4
+	tx, err := NewTransmitter(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := channel.New(15, cfg.Antennas, 7227)
+	if err != nil {
+		t.Fatal(err)
+	}
+	iqs := make([][][]complex128, 16)
+	for i := range iqs {
+		wave, err := tx.Transmit(randomPayload(t, tx, uint64(7200+i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		iqs[i], _ = ch.Apply(wave)
+	}
+	eachKernelPath(t, func(t *testing.T) {
+		rx, err := NewReceiver(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		iterations := 0
+		for _, iq := range iqs {
+			res, err := rx.Process(iq, ch.N0())
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Write(res.Payload)
+			flags := []byte{boolByte(res.OK)}
+			for r, it := range res.BlockIterations {
+				flags = append(flags, boolByte(res.BlockOK[r]), byte(it))
+				iterations += it
+			}
+			h.Write(flags)
+		}
+		if got := h.Sum64(); got != pinned {
+			t.Errorf("decode digest %#x (%d block iterations), pinned %#x", got, iterations, pinned)
+		}
+	})
+}
+
+func boolByte(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
+}

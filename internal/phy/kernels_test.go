@@ -8,11 +8,11 @@ import (
 	"rtopex/internal/channel"
 )
 
-// fftKernels and demapKernels are the unexported kernel switches of
-// internal/fft and internal/modulation (see their kernelsEnabled), reached
-// by linkname so that neither package needs an exported test hook: the
-// receiver-level exactness tests here run the whole chain on the AVX2
-// kernels and on the scalar code.
+// fftKernels, demapKernels and turboKernels are the unexported kernel
+// switches of internal/fft, internal/modulation (see their kernelsEnabled)
+// and internal/turbo (radix4Enabled), reached by linkname so that no
+// package needs an exported test hook: the receiver-level exactness tests
+// here run the whole chain on the AVX2 kernels and on the scalar code.
 //
 //go:linkname fftKernels rtopex/internal/fft.kernelsEnabled
 var fftKernels bool
@@ -20,18 +20,21 @@ var fftKernels bool
 //go:linkname demapKernels rtopex/internal/modulation.kernelsEnabled
 var demapKernels bool
 
-// eachKernelPath runs f once per path this host has: the fft, modulation
-// and phy kernels all on (only where the probe enabled them), then all off.
-// The subtests keep the names fft=avx2 and fft=scalar that the tests
-// reported when the FFT was the only stage with kernels.
+//go:linkname turboKernels rtopex/internal/turbo.radix4Enabled
+var turboKernels bool
+
+// eachKernelPath runs f once per path this host has: the fft, modulation,
+// turbo and phy kernels all on (only where the probe enabled them), then
+// all off. The subtests keep the names fft=avx2 and fft=scalar that the
+// tests reported when the FFT was the only stage with kernels.
 func eachKernelPath(t *testing.T, f func(t *testing.T)) {
-	hw := [3]bool{fftKernels, demapKernels, kernelsEnabled}
-	set := func(v [3]bool) { fftKernels, demapKernels, kernelsEnabled = v[0], v[1], v[2] }
+	hw := [4]bool{fftKernels, demapKernels, turboKernels, kernelsEnabled}
+	set := func(v [4]bool) { fftKernels, demapKernels, turboKernels, kernelsEnabled = v[0], v[1], v[2], v[3] }
 	defer set(hw)
-	if hw[0] || hw[1] || hw[2] {
+	if hw[0] || hw[1] || hw[2] || hw[3] {
 		t.Run("fft=avx2", f)
 	}
-	set([3]bool{})
+	set([4]bool{})
 	t.Run("fft=scalar", f)
 }
 
