@@ -1,7 +1,8 @@
 package modulation
 
 // kernelsEnabled gates dispatch of the demappers to the AVX2 kernels in
-// demap_amd64.s. They evaluate, per I or Q component, every branch of
+// demap_amd64.s, and of QuantizeLLRsInto to the one in llrq_amd64.s. The
+// demap kernels evaluate, per I or Q component, every branch of
 // softSign16/softSign64 with the scalar code's operations in its order and
 // select the live one with compares and blends, so every LLR bit matches
 // demapScalar (FuzzDemapKernelMatchesScalar); only the speed differs, most

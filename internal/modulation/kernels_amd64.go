@@ -18,3 +18,9 @@ func demap16AVX2(dst, sign *float64, x *complex128, pairs int, c *demapConsts)
 
 //go:noescape
 func demap64AVX2(dst, sign *float64, x *complex128, pairs int, c *demapConsts)
+
+// quantizeAVX2 quantizes src[0:n] into dst[0:n] per QuantizeLLR (llrq_amd64.s);
+// n is a multiple of 8.
+//
+//go:noescape
+func quantizeAVX2(dst *int16, src *float64, n int)

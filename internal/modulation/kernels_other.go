@@ -16,3 +16,7 @@ func demap16AVX2(dst, sign *float64, x *complex128, pairs int, c *demapConsts) {
 func demap64AVX2(dst, sign *float64, x *complex128, pairs int, c *demapConsts) {
 	panic("modulation: demap64AVX2 without hardware support")
 }
+
+func quantizeAVX2(dst *int16, src *float64, n int) {
+	panic("modulation: quantizeAVX2 without hardware support")
+}

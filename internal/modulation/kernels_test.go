@@ -178,6 +178,80 @@ func FuzzDemapKernelMatchesScalar(f *testing.F) {
 	})
 }
 
+// checkQuantizeKernel requires QuantizeLLRsInto on the kernel to equal
+// QuantizeLLR element by element.
+func checkQuantizeKernel(t *testing.T, src []float64) {
+	t.Helper()
+	got := make([]int16, len(src))
+	withKernels(true, func() { QuantizeLLRsInto(got, src) })
+	for i, x := range src {
+		if want := QuantizeLLR(x); got[i] != want {
+			t.Fatalf("len %d: LLR %d = %v (bits %#x) quantizes to %d on the kernel, %d scalar",
+				len(src), i, x, math.Float64bits(x), got[i], want)
+		}
+	}
+}
+
+// quantizeSpecials are the inputs where QuantizeLLR's operations can tell
+// implementations apart: signed zeros, NaN, infinities, subnormals, exact
+// half-steps (which round away from zero) and their neighbours, the
+// ±LLRQMax rail ± half a step, and values whose scaled form overflows.
+func quantizeSpecials() []float64 {
+	out := []float64{0, math.Copysign(0, -1), math.NaN(), -math.NaN(), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1022, -0x1p-1022,
+		math.MaxFloat64, -math.MaxFloat64, math.MaxFloat64 / 64, math.Nextafter(0.5, 0)}
+	step := 1.0 / LLRQScale
+	for _, q := range []float64{0, 0.5, 1, 1.5, 2.5, 100.5, LLRQMax - 1, LLRQMax - 0.5, LLRQMax, LLRQMax + 0.5, LLRQMax + 1} {
+		for _, s := range []float64{1, -1} {
+			v := s * q * step
+			out = append(out, v, math.Nextafter(v, 0), math.Nextafter(v, s*math.Inf(1)))
+		}
+	}
+	return out
+}
+
+// TestQuantizeKernelMatchesScalar: every special input, and every window of
+// them of lengths 0–9 starting at element offsets 0 and 1, so the kernel's
+// eight-wide body, the scalar tail and unaligned sources all run.
+func TestQuantizeKernelMatchesScalar(t *testing.T) {
+	skipWithoutKernels(t)
+	sp := quantizeSpecials()
+	for off := 0; off <= 1; off++ {
+		checkQuantizeKernel(t, sp[off:])
+		for n := 0; n <= 9; n++ {
+			for start := off; start+n <= len(sp); start += 2 {
+				checkQuantizeKernel(t, sp[start:start+n])
+			}
+		}
+	}
+	r := stats.NewRNG(11)
+	noisy := make([]float64, 1001)
+	for i := range noisy {
+		noisy[i] = r.NormFloat64() * 40
+	}
+	checkQuantizeKernel(t, noisy)
+}
+
+// FuzzQuantizeKernelMatchesScalar reads the input as little-endian float64
+// bit patterns, so the fuzzer reaches every NaN payload, subnormal and
+// rounding boundary.
+func FuzzQuantizeKernelMatchesScalar(f *testing.F) {
+	skipWithoutKernels(f)
+	var seed []byte
+	for _, v := range quantizeSpecials() {
+		seed = binary.LittleEndian.AppendUint64(seed, math.Float64bits(v))
+	}
+	f.Add(seed)
+	f.Add(seed[8 : 8*9])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := make([]float64, len(data)/8)
+		for i := range src {
+			src[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		checkQuantizeKernel(t, src)
+	})
+}
+
 // BenchmarkDemap64QAM demaps one 50-PRB subframe of 64-QAM REs at 15 dB
 // SNR, where the soft-sign branches are data-dependent, on both paths.
 func BenchmarkDemap64QAM(b *testing.B) {

@@ -49,12 +49,19 @@ func QuantizeLLR(x float64) int16 {
 
 // QuantizeLLRsInto quantizes src into dst (same length), element-wise per
 // QuantizeLLR. It is the allocation-free boundary between the float64 soft
-// chain (demap, descramble) and the int16 decode path.
+// chain (demap, descramble) and the int16 decode path. Where kernelsEnabled,
+// the longest prefix of a multiple of 8 runs on the AVX2 kernel, which
+// matches QuantizeLLR on every input (FuzzQuantizeKernelMatchesScalar).
 func QuantizeLLRsInto(dst []int16, src []float64) {
 	if len(dst) != len(src) {
 		panic("modulation: QuantizeLLRsInto length mismatch")
 	}
-	for i, x := range src {
-		dst[i] = QuantizeLLR(x)
+	i := 0
+	if n := len(src) &^ 7; kernelsEnabled && n > 0 {
+		quantizeAVX2(&dst[0], &src[0], n)
+		i = n
+	}
+	for ; i < len(src); i++ {
+		dst[i] = QuantizeLLR(src[i])
 	}
 }
