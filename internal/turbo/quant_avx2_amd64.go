@@ -2,24 +2,37 @@ package turbo
 
 import "rtopex/internal/cpu"
 
-// Kernel bindings for the AVX2 radix-4 stepper (quant_avx2_amd64.s).
+// Kernel bindings for the AVX2 stepper (quant_avx2_amd64.s). A constituent
+// pass runs both kernels in turn; every pointer is the base of its
+// full-length stream or scratch, indexed by trellis stage.
 
-// forwardStepsAVX2 runs n unguarded forward trellis stages: stage j reads
-// qg0[j]/qg1[j], renormalizes and clamps exactly like the scalar loop, and
-// stores the int16 row at rows[j*8:]. The int32 state vector is carried in
-// *av across the call.
+// inwardAVX2 steps the forward recursion over stages 3 … mid−1 from the
+// α row in *av, storing int16 α rows 4 … mid, interleaved with the β-only
+// backward recursion over stages k−1 … mid from the β row in *bv, storing
+// each incoming int32 row β_{i+1} at beta[(i−mid)·8]. Stage i's metric
+// halves are the pair pairs[2i], pairs[2i+1]. It leaves α_mid in *av and β_mid in
+// *bv.
 //
 //go:noescape
-func forwardStepsAVX2(rows *int16, qg0 *int16, qg1 *int16, n int, av *[8]int32)
+func inwardAVX2(alpha *int16, beta *int32, pairs *int16, k int, mid int, av *[8]int32, bv *[8]int32)
 
-// backwardLLRAVX2 runs stages j = n−1 … 0 of the fused backward/LLR
-// recursion over stored alpha rows, updating beta in *bv and writing le[j]
-// and the hard sign bit hard[j] per stage. hard must be a valid slice (the
-// caller substitutes scratch when decisions are not wanted).
+// outwardAVX2 continues both chains: forward over stages mid … k−1, taking
+// le[i] and hard[i] from the stage's branch candidates and the stored
+// β_{i+1}, interleaved with the fused backward/LLR recursion over stages
+// mid−1 … 3 on the stored α rows. It leaves β_3 in *bv. hard must be a
+// valid slice (the caller substitutes scratch when decisions are not
+// wanted).
 //
 //go:noescape
-func backwardLLRAVX2(rows *int16, qg0 *int16, qg1 *int16, n int, bv *[8]int32, le *int16, hard *byte)
+func outwardAVX2(alpha *int16, beta *int32, pairs *int16, le *int16, hard *byte, k int, mid int, av *[8]int32, bv *[8]int32)
 
-// radix4HW reports hardware support for the fused kernels. Split from
+// interleaveAVX2 writes the per-stage metric pairs pairs[2i] = lsys[i] + la[i]
+// (lsys[i] when la is nil) and pairs[2i+1] = lpar[i] for i < k, a multiple of
+// 8 (every QPP size is).
+//
+//go:noescape
+func interleaveAVX2(pairs *int16, lsys *int16, la *int16, lpar *int16, k int)
+
+// radix4HW reports hardware support for the kernels. Split from
 // radix4Enabled so tests can force the scalar fallback.
 var radix4HW = cpu.AVX2

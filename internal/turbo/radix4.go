@@ -2,61 +2,66 @@ package turbo
 
 import "rtopex/internal/modulation"
 
-// radix4Enabled gates dispatch to the kernel stepper, which fuses two trellis
-// stages per sweep iteration using the AVX2 kernels in quant_avx2_amd64.s,
-// with renormalization kept per stage so the arithmetic — and therefore every
-// output bit — matches the scalar stepper constituentQ exactly
-// (TestRadix4DifferentialGrid). Which one runs is decided by what the code
-// can observe: radix4HW, the CPUID probe. On hardware without AVX2 every pass
-// decodes through the scalar stepper; outputs are identical either way, only
-// the stepping speed differs. Tests clear the variable to cover the scalar
-// stepper on AVX2 hardware.
+// radix4Enabled gates dispatch to the kernel stepper, which runs the forward
+// and backward recursions as two interleaved chains on the AVX2 kernels in
+// quant_avx2_amd64.s, with renormalization kept per stage so the arithmetic —
+// and therefore every output bit — matches the scalar stepper constituentQ
+// exactly (TestRadix4DifferentialGrid). Which one runs is decided by what the
+// code can observe: radix4HW, the CPUID probe. On hardware without AVX2 every
+// pass decodes through the scalar stepper; outputs are identical either way,
+// only the stepping speed differs. Tests clear the variable to cover the
+// scalar stepper on AVX2 hardware.
 var radix4Enabled = radix4HW
 
 // constituentQR4 is the constituent pass the iteration pipeline calls:
-// identical contract to constituentQ, stepped two trellis stages per fused
-// sweep on the AVX2 kernels when they are available, and through constituentQ
-// itself when not. The guarded edges (3-step forward prologue, termination
-// tail, 3-step LLR epilogue) stay scalar — they are cold and carry the
-// sentinel logic — while the guard-free interior runs vectorized. Unlike the
-// scalar pass it reads the parity stream in place instead of staging it
-// through d.qg1 (same values, one copy less).
+// identical contract to constituentQ, stepped on the AVX2 kernels when they
+// are available, and through constituentQ itself when not. The guarded edges
+// (3-step forward prologue, termination tail, 3-step LLR epilogue) stay
+// scalar — they are cold and carry the sentinel logic — while the guard-free
+// interior runs vectorized in two phases that meet at mid = K/2: inwardAVX2
+// steps α from the prologue to mid beside β from the tail seed down to mid,
+// storing the β half; outwardAVX2 then steps α from mid to K, taking LLRs
+// from the stored β, beside the fused β/LLR recursion from mid down to the
+// epilogue. The forward chain is latency-bound, so the second chain beside
+// it runs nearly free. Both read each stage's metric halves as one
+// interleaved pair (gs = lsys+la, gp = lpar), which interleaveAVX2 writes
+// into d.qg first.
 func (d *Decoder) constituentQR4(lsys, lpar, la []int16, xTail, zTail [3]int16, le []int16, hard []byte) {
 	k := d.K
 	if !radix4Enabled || k <= numStates {
 		d.constituentQ(lsys, lpar, la, xTail, zTail, le, hard)
 		return
 	}
-	alpha := d.qalpha
-	qg0 := d.qg0
-	if la == nil {
-		// First decoder-1 pass: the a-priori is identically zero, so qg0
-		// is just the systematic stream.
-		copy(qg0[:k], lsys[:k])
-	} else {
-		for i := 0; i < k; i++ {
-			qg0[i] = lsys[i] + la[i]
-		}
+	alpha, g := d.qalpha, d.qg
+	var lap *int16 // nil on the first decoder-1 pass: the a-priori is zero
+	if la != nil {
+		lap = &la[0]
 	}
+	interleaveAVX2(&g[0], &lsys[0], lap, &lpar[0], k)
 
-	av := forwardPrologueQ(alpha, qg0, lpar, k)
-	const pro = 3 // k > numStates ⇒ the full prologue ran
-	n := k - pro
-	forwardStepsAVX2(&alpha[(pro+1)*numStates], &qg0[pro], &lpar[pro], n, &av)
-
+	// k > numStates ⇒ the full 3-step prologue runs, and both halves of the
+	// interior are longer than it.
+	const pro = 3
+	var g0, g1 [pro]int16
+	for i := range g0 {
+		g0[i], g1[i] = g[2*i], g[2*i+1]
+	}
+	av := forwardPrologueQ(alpha, g0[:], g1[:], k)
 	tb := tailBetaQ(xTail, zTail)
 	hardp := hard
 	if hardp == nil {
 		hardp = d.qhardTmp
 	}
-	backwardLLRAVX2(&alpha[pro*numStates], &qg0[pro], &lpar[pro], n, &tb, &le[pro], &hardp[pro])
+	mid := k / 2
+	inwardAVX2(&alpha[0], &d.qbeta[0], &g[0], k, mid, &av, &tb)
+	outwardAVX2(&alpha[0], &d.qbeta[0], &g[0], &le[0], &hardp[0], k, mid, &av, &tb)
 
 	// Scalar LLR epilogue over the guarded rows (i < pro), continuing the
 	// beta recursion left in tb by the kernel. Mirrors constituentQ's
 	// epilogue branch exactly.
 	for i := pro - 1; i >= 0; i-- {
 		curA := (*[numStates]int16)(alpha[i*numStates:])
-		gs, gp := int32(qg0[i]), int32(lpar[i])
+		gs, gp := int32(g0[i]), int32(g1[i])
 		c := [4]int32{gs + gp, gs - gp, -gs + gp, -gs - gp}
 		m0, m1 := int32(qSentI32), int32(qSentI32)
 		for s := 0; s < numStates; s++ {

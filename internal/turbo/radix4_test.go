@@ -1,15 +1,25 @@
 package turbo
 
 import (
+	"slices"
 	"testing"
 
 	"rtopex/internal/bits"
 	"rtopex/internal/stats"
 )
 
+// decodeOutputs is what one decode leaves behind: the result, deep-copied,
+// and the state of the last passes — both extrinsic buffers and decoder 2's
+// interleaved-domain hard decisions.
+type decodeOutputs struct {
+	res       Result
+	qle1, qle []int16
+	hardI     []byte
+}
+
 // decodeKernels runs one decode with the AVX2 kernels switched on or off and
-// deep-copies the result, so comparisons survive decoder reuse.
-func decodeKernels(t testing.TB, kernels bool, k, maxIter int, s [][]float64, check func([]byte) bool) Result {
+// deep-copies its outputs, so comparisons survive decoder reuse.
+func decodeKernels(t testing.TB, kernels bool, k, maxIter int, s [][]float64, check func([]byte) bool) decodeOutputs {
 	t.Helper()
 	old := radix4Enabled
 	radix4Enabled = kernels
@@ -21,25 +31,40 @@ func decodeKernels(t testing.TB, kernels bool, k, maxIter int, s [][]float64, ch
 	dec.MaxIterations = maxIter
 	dec.PrecheckRaw = false // force the trellis, not the raw shortcut
 	res := dec.Decode(s[0], s[1], s[2], check)
-	res.Bits = append([]byte(nil), res.Bits...)
-	return res
+	res.Bits = slices.Clone(res.Bits)
+	return decodeOutputs{res, slices.Clone(dec.qle1), slices.Clone(dec.qle), slices.Clone(dec.qhardI)}
 }
 
 // requireKernelsMatchScalar is the bit-identity contract between the two
-// steppers: the fused AVX2 kernels must reproduce the scalar stepper exactly —
-// same hard decisions, same iteration count, same OK verdict — with and
+// steppers: the AVX2 kernels must reproduce the scalar stepper exactly —
+// same hard decisions, same iteration count, same OK verdict, and the same
+// extrinsics and decoder-2 decisions out of the last passes — with and
 // without an early-termination check.
 func requireKernelsMatchScalar(t testing.TB, k, maxIter int, s [][]float64, check func([]byte) bool, label string) {
 	t.Helper()
 	for _, chk := range []func([]byte) bool{nil, check} {
 		sw := decodeKernels(t, false, k, maxIter, s, chk)
 		hw := decodeKernels(t, true, k, maxIter, s, chk)
-		if d := bits.HammingDistance(sw.Bits, hw.Bits); d != 0 {
+		if d := bits.HammingDistance(sw.res.Bits, hw.res.Bits); d != 0 {
 			t.Fatalf("K=%d %s check=%v: kernels differ from scalar in %d bits", k, label, chk != nil, d)
 		}
-		if sw.Iterations != hw.Iterations || sw.OK != hw.OK {
+		if sw.res.Iterations != hw.res.Iterations || sw.res.OK != hw.res.OK {
 			t.Fatalf("K=%d %s check=%v: (it=%d ok=%v) kernels vs (it=%d ok=%v) scalar",
-				k, label, chk != nil, hw.Iterations, hw.OK, sw.Iterations, sw.OK)
+				k, label, chk != nil, hw.res.Iterations, hw.res.OK, sw.res.Iterations, sw.res.OK)
+		}
+		for _, c := range []struct {
+			name      string
+			got, want []int16
+		}{{"decoder-1 extrinsic", hw.qle1, sw.qle1}, {"decoder-2 extrinsic", hw.qle, sw.qle}} {
+			for i := range c.want {
+				if c.got[i] != c.want[i] {
+					t.Fatalf("K=%d %s check=%v: %s[%d] = %d on the kernels, %d scalar",
+						k, label, chk != nil, c.name, i, c.got[i], c.want[i])
+				}
+			}
+		}
+		if d := bits.HammingDistance(sw.hardI, hw.hardI); d != 0 {
+			t.Fatalf("K=%d %s check=%v: decoder-2 decisions differ in %d bits", k, label, chk != nil, d)
 		}
 	}
 }
@@ -51,7 +76,9 @@ func skipWithoutKernels(t testing.TB) {
 }
 
 // TestRadix4DifferentialGrid runs the contract across block lengths (spanning
-// both QPP table regimes and the kernel's odd/even interior-length cases),
+// both QPP table regimes, halves of odd and even length on either side of
+// the kernels' meeting point K/2, and K = 40/48, where a half is barely
+// longer than the 3-step guards),
 // SNRs from railed-clean through the waterfall to noise-dominated, and seeds;
 // then across all 188 QPP sizes with the inputs that stress the fixed-point
 // edges: every LLR on the ±LLRQMax rail with signs that form no codeword (so
@@ -162,8 +189,8 @@ func TestRadix4ScalarFallbackIdentical(t *testing.T) {
 	in := randomBlock(r, k)
 	streams, _ := EncodeStreams(in)
 	s := noisyStreams(r, streams, 0)
-	hw := decodeKernels(t, radix4HW, k, 4, s, nil)
-	sw := decodeKernels(t, false, k, 4, s, nil)
+	hw := decodeKernels(t, radix4HW, k, 4, s, nil).res
+	sw := decodeKernels(t, false, k, 4, s, nil).res
 	if d := bits.HammingDistance(hw.Bits, sw.Bits); d != 0 || hw.Iterations != sw.Iterations {
 		t.Fatalf("scalar fallback differs: %d bits, it %d vs %d", d, sw.Iterations, hw.Iterations)
 	}
@@ -172,7 +199,7 @@ func TestRadix4ScalarFallbackIdentical(t *testing.T) {
 	}
 }
 
-// TestRadix4AllocFree: the fused path must stay allocation-free like the
+// TestRadix4AllocFree: the kernel path must stay allocation-free like the
 // scalar one — the kernels work entirely in preallocated decoder scratch.
 func TestRadix4AllocFree(t *testing.T) {
 	const k = 5312
@@ -189,6 +216,6 @@ func TestRadix4AllocFree(t *testing.T) {
 		d.Decode(s0, s1, s2, nil)
 	})
 	if allocs != 0 {
-		t.Fatalf("radix-4 Decode allocates %.1f objects per call, want 0", allocs)
+		t.Fatalf("kernel-path Decode allocates %.1f objects per call, want 0", allocs)
 	}
 }
