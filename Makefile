@@ -23,9 +23,9 @@ TRACKED_BENCHES = { \
 	$(GO) test -bench='BenchmarkFlightRecorder' -benchtime=$(FLIGHT_BENCHTIME) -run='^$$' ./internal/harness; \
 	$(GO) test -bench='BenchmarkScrapeEvaluate' -benchtime=$(HISTORY_BENCHTIME) -run='^$$' ./internal/harness; }
 
-.PHONY: ci build build-arm64 no-fma test vet race fmt-check unlinked bench-test bench bench-all bench-check trace-demo sweep-check sweep-check-full baselines baselines-full obs-smoke fleet-smoke flight-smoke slo-smoke profile-phy phy-speedup
+.PHONY: ci build build-arm64 no-fma fuzz-kernels test vet race fmt-check unlinked bench-test bench bench-all bench-check trace-demo sweep-check sweep-check-full baselines baselines-full obs-smoke fleet-smoke flight-smoke slo-smoke profile-phy phy-speedup
 
-ci: vet build build-arm64 no-fma race bench-test fmt-check unlinked sweep-check bench-check phy-speedup obs-smoke fleet-smoke flight-smoke slo-smoke
+ci: vet build build-arm64 no-fma fuzz-kernels race bench-test fmt-check unlinked sweep-check bench-check phy-speedup obs-smoke fleet-smoke flight-smoke slo-smoke
 
 build:
 	$(GO) build ./...
@@ -43,6 +43,24 @@ no-fma:
 	if [ -n "$$out" ]; then \
 		echo "fused multiply-add in:"; echo "$$out"; exit 1; \
 	fi
+
+# FUZZ_KERNELS lists the AVX2-vs-scalar differential fuzz targets as
+# package:target:executions.
+FUZZ_KERNELS = \
+	./internal/turbo:FuzzKernelsMatchScalar:5000 \
+	./internal/fft:FuzzForwardKernelMatchesScalar:50000 \
+	./internal/modulation:FuzzDemapKernelMatchesScalar:50000 \
+	./internal/modulation:FuzzQuantizeKernelMatchesScalar:200000
+
+# fuzz-kernels fuzzes every assembly kernel against its scalar code, beyond
+# the seed corpora plain `go test` runs. Each target runs for a fixed
+# execution count rather than a fixed time, so a slow host takes longer
+# instead of failing; minimization is capped so a new input cannot stall it.
+fuzz-kernels:
+	@set -e; for spec in $(FUZZ_KERNELS); do \
+		pkg=$${spec%%:*}; rest=$${spec#*:}; target=$${rest%%:*}; n=$${rest#*:}; \
+		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $${n}x -fuzzminimizetime 3s $$pkg; \
+	done
 
 vet:
 	$(GO) vet ./...
