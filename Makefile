@@ -30,10 +30,13 @@ ci: vet build build-arm64 no-fma fuzz-kernels race bench-test fmt-check unlinked
 build:
 	$(GO) build ./...
 
-# build-arm64 cross-compiles the tree and vets the packages that carry
-# amd64 assembly, so their non-amd64 stubs cannot rot unnoticed.
+# build-arm64 cross-compiles the tree for linux/arm64 and darwin/arm64 and
+# vets the packages with per-platform files there: the ones that carry
+# amd64 assembly, so their non-amd64 stubs cannot rot unnoticed, and
+# realtime, whose release clock has a Linux file and a clock_other.go.
 build-arm64:
-	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/fft ./internal/turbo ./internal/cpu ./internal/modulation ./internal/phy
+	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/fft ./internal/turbo ./internal/cpu ./internal/modulation ./internal/phy ./internal/realtime
+	GOOS=darwin GOARCH=arm64 $(GO) build ./... && GOOS=darwin GOARCH=arm64 $(GO) vet ./internal/realtime
 
 # no-fma fails when any assembly kernel uses a fused multiply-add: the
 # kernels are bit-identical to their scalar code only because every multiply

@@ -4,11 +4,15 @@
 // pinned-pthread testbed.
 //
 // The subframe clock is dilated (default 2×: one "1 ms" subframe every
-// 2 ms, what the benchmark ledger runs). An MCS-27 subframe takes
-// ≈ 1.2–1.9 ms, so that holds the deadline on an idle host. The scheduling
-// geometry — core mapping, utilization ratio, slack fractions — is
-// preserved. Each worker core runs its stages' subtasks on -phy-workers
-// goroutines; subframes of one core never overlap.
+// 2 ms, what the benchmark ledger runs). A subframe of the ledger's
+// trace-driven MCS mix takes ≈ 1.1 ms median and ≈ 1.4 ms at p90, so the
+// dilated 4 ms budget holds on an idle host. The scheduling geometry — core
+// mapping, utilization ratio, slack fractions — is preserved. Go's timers
+// have 1 ms granularity on Linux; the feeder releases each subframe within
+// tens of µs of its due time anyway, and "release → start" reports how long
+// subframes waited before their core started them. Each worker core runs
+// its stages' subtasks on -phy-workers goroutines; subframes of one core
+// never overlap.
 //
 // With -http the run carries the full observability surface: /metrics,
 // pprof, /healthz+/readyz probes, the flight recorder's /dossiers, and the
@@ -190,6 +194,11 @@ func main() {
 		s := stats.Summarize(st.ProcUS)
 		fmt.Printf("processing time (ms): p50=%.1f p90=%.1f p99=%.1f max=%.1f\n",
 			s.P50/1000, s.P90/1000, s.P99/1000, s.Max/1000)
+	}
+	if len(st.WaitUS) > 0 {
+		s := stats.Summarize(st.WaitUS)
+		fmt.Printf("release → start (ms): p50=%.2f p90=%.2f p99=%.2f\n",
+			s.P50/1000, s.P90/1000, s.P99/1000)
 	}
 	if len(st.LateUS) > 0 {
 		s := stats.Summarize(st.LateUS)

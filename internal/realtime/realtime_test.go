@@ -58,6 +58,14 @@ func TestLiveRunFixedMCS(t *testing.T) {
 			t.Fatal("non-positive processing time")
 		}
 	}
+	if len(st.WaitUS) != len(st.ProcUS) {
+		t.Fatalf("%d release → start samples for %d processing times", len(st.WaitUS), len(st.ProcUS))
+	}
+	for _, w := range st.WaitUS {
+		if w < 0 {
+			t.Fatalf("subframe started %.1f µs before its release", -w)
+		}
+	}
 }
 
 func TestLiveRunTraceDriven(t *testing.T) {
@@ -109,13 +117,31 @@ func TestLiveRunTraced(t *testing.T) {
 	events := ring.Events()
 	counts := map[trace.Kind]int{}
 	phases := map[string]int{}
+	type key struct{ bs, sf int }
+	arrived := map[key]float64{}
 	for _, e := range events {
 		if e.Time < 0 {
 			t.Fatalf("event before epoch: %+v", e)
 		}
 		counts[e.Event]++
-		if e.Event == trace.EvPhase {
+		switch e.Event {
+		case trace.EvPhase:
 			phases[e.Detail]++
+		case trace.EvArrive:
+			arrived[key{e.BS, e.Subframe}] = e.Time
+		}
+	}
+	// Never released early: every start follows its subframe's release.
+	for _, e := range events {
+		if e.Event != trace.EvStart {
+			continue
+		}
+		at, ok := arrived[key{e.BS, e.Subframe}]
+		if !ok {
+			t.Fatalf("subframe %d started without a release", e.Subframe)
+		}
+		if e.Time < at {
+			t.Fatalf("subframe %d started at %.1f µs, released at %.1f µs", e.Subframe, e.Time, at)
 		}
 	}
 	if counts[trace.EvArrive] != 6 {
