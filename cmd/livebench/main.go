@@ -53,7 +53,7 @@ func main() {
 		dilation  = flag.Float64("dilation", 2, "subframe-clock dilation factor")
 		phyWork   = flag.Int("phy-workers", 1, "subtask workers per core (parallel PHY fast path; ≤1 = serial)")
 		seed      = flag.Uint64("seed", 1, "random seed")
-		httpAddr  = flag.String("http", "", "serve /metrics, /debug/vars, /debug/pprof, health probes and the /api history endpoints on this address (e.g. :6060) during the run")
+		httpAddr  = flag.String("http", "", "serve /metrics, /debug/vars, /debug/pprof, health probes and /api/alerts on this address (e.g. :6060) during the run")
 		pushAddr  = flag.String("push", "", "stream registry snapshots to the obscollect collector at this address (host:port)")
 		pushEvery = flag.Duration("push-interval", 2*time.Second, "interval between pushes for -push")
 		flightDir = flag.String("flight", "", "arm the deadline-miss flight recorder and spool dossiers into this directory")
@@ -84,8 +84,8 @@ func main() {
 	sampler := obs.StartRuntime(reg, time.Second)
 	defer sampler.Stop()
 
-	// -flight arms the miss flight recorder: every deadline miss, drop or
-	// arena failure freezes a dossier into the spool, and the -http surface
+	// -flight arms the miss flight recorder: every deadline miss or drop
+	// freezes a dossier into the spool, and the -http surface
 	// gains /dossiers and the /events SSE stream.
 	var rec *flight.Recorder
 	var spool *flight.Spool

@@ -62,14 +62,26 @@ func run(args []string, out io.Writer) error {
 	r := stats.NewRNG(*seed)
 	pool := phy.NewPool(max(*workers, 1))
 	defer pool.Close()
-	arena := phy.NewArena()
 	var obs []model.Observation
 	fmt.Fprintln(out, "profiling Go PHY (this runs the full turbo decoder; expect minutes at scale)...")
 	for _, n := range ants {
 		for mcs := 0; mcs <= lte.MaxMCS; mcs += *mcsStep {
+			// One receiver per (antennas, MCS) cell, reused across its
+			// SNRs and trials so they run on warmed scratch.
+			cfg := phy.Config{
+				Bandwidth: lte.BW10MHz,
+				MCS:       mcs,
+				Antennas:  n,
+				RNTI:      0x2002,
+				CellID:    11,
+			}
+			rx, err := phy.NewReceiver(cfg)
+			if err != nil {
+				return err
+			}
 			for _, snr := range snrs {
 				for trial := 0; trial < *trials; trial++ {
-					o, err := measureOne(r, arena, pool, mcs, n, snr)
+					o, err := measureOne(r, rx, cfg, pool, snr)
 					if err != nil {
 						return err
 					}
@@ -94,17 +106,9 @@ func run(args []string, out io.Writer) error {
 }
 
 // measureOne runs one full subframe through transmit → channel → receive
-// and returns the observation for the model fit. Receivers are borrowed
-// from the arena (so repeated cells reuse warmed scratch) and the pipeline
-// stages fan out across the pool's workers.
-func measureOne(r *stats.RNG, arena *phy.Arena, pool *phy.Pool, mcs, antennas int, snrDB float64) (model.Observation, error) {
-	cfg := phy.Config{
-		Bandwidth: lte.BW10MHz,
-		MCS:       mcs,
-		Antennas:  antennas,
-		RNTI:      0x2002,
-		CellID:    11,
-	}
+// on rx, built for cfg, and returns the observation for the model fit. The
+// pipeline stages fan out across the pool's workers.
+func measureOne(r *stats.RNG, rx *phy.Receiver, cfg phy.Config, pool *phy.Pool, snrDB float64) (model.Observation, error) {
 	tx, err := phy.NewTransmitter(cfg)
 	if err != nil {
 		return model.Observation{}, err
@@ -115,27 +119,22 @@ func measureOne(r *stats.RNG, arena *phy.Arena, pool *phy.Pool, mcs, antennas in
 	if err != nil {
 		return model.Observation{}, err
 	}
-	ch, err := channel.New(snrDB, antennas, r.Uint64())
+	ch, err := channel.New(snrDB, cfg.Antennas, r.Uint64())
 	if err != nil {
 		return model.Observation{}, err
 	}
 	iq, _ := ch.Apply(wave)
-	rx, err := arena.Get(cfg)
-	if err != nil {
-		return model.Observation{}, err
-	}
 	start := time.Now()
 	res, err := pool.ProcessParallel(rx, iq, ch.N0())
 	if err != nil {
 		return model.Observation{}, err
 	}
 	elapsed := time.Since(start).Seconds() * 1e6 // µs
-	defer arena.Put(rx)
-	info, err := lte.MCSTable(mcs)
+	info, err := lte.MCSTable(cfg.MCS)
 	if err != nil {
 		return model.Observation{}, err
 	}
-	d, err := lte.SubcarrierLoad(mcs, cfg.Bandwidth)
+	d, err := lte.SubcarrierLoad(cfg.MCS, cfg.Bandwidth)
 	if err != nil {
 		return model.Observation{}, err
 	}
@@ -143,7 +142,7 @@ func measureOne(r *stats.RNG, arena *phy.Arena, pool *phy.Pool, mcs, antennas in
 	if l < 1 {
 		l = 1
 	}
-	return model.Observation{N: antennas, K: info.Scheme.Order(), D: d, L: l, T: elapsed}, nil
+	return model.Observation{N: cfg.Antennas, K: info.Scheme.Order(), D: d, L: l, T: elapsed}, nil
 }
 
 func parseInts(s string) ([]int, error) {

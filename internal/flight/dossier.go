@@ -1,9 +1,9 @@
 // Package flight is the deadline-miss flight recorder: an always-on,
 // allocation-bounded tap on the run-level trace.Tracer stream that, when a
-// trigger event fires (deadline miss, drop, overrun, receiver-arena
-// failure), freezes a bounded pre/post-trigger window of events — plus the
-// scheduler state, per-core utilization fractions, Go-runtime GC/heap
-// readings and an optional live registry snapshot — into a self-contained
+// trigger event fires (deadline miss, drop, overrun), freezes a bounded
+// pre/post-trigger window of events — plus the scheduler state, per-core
+// utilization fractions, Go-runtime GC/heap readings and an optional live
+// registry snapshot — into a self-contained
 // **miss dossier**, written as versioned JSON to a capped on-disk spool.
 //
 // The design splits into a process-wide Recorder (shared spool, rate
@@ -37,13 +37,11 @@ type Trigger string
 
 // Trigger kinds, derived from the event stream itself: a late finish is a
 // deadline miss; a drop whose detail names a pipeline phase is a slack-check
-// drop; "queue-full" means the previous subframe overran its whole window;
-// "rx-unavailable" is a receiver-arena failure.
+// drop; "queue-full" means the previous subframe overran its whole window.
 const (
 	TriggerDeadlineMiss Trigger = "deadline-miss"
 	TriggerDrop         Trigger = "drop"
 	TriggerOverrun      Trigger = "overrun"
-	TriggerArenaFailure Trigger = "arena-failure"
 )
 
 // Classify maps one trace event to its trigger kind. The second return is
@@ -55,14 +53,10 @@ func Classify(e trace.Event) (Trigger, bool) {
 			return TriggerDeadlineMiss, true
 		}
 	case trace.EvDrop:
-		switch e.Detail {
-		case "rx-unavailable":
-			return TriggerArenaFailure, true
-		case "queue-full":
+		if e.Detail == "queue-full" {
 			return TriggerOverrun, true
-		default:
-			return TriggerDrop, true
 		}
+		return TriggerDrop, true
 	}
 	return "", false
 }

@@ -32,7 +32,6 @@ func TestClassify(t *testing.T) {
 		{ev(1, 0, 0, 0, trace.EvFinish, "late"), flight.TriggerDeadlineMiss, true},
 		{ev(1, 0, 0, 0, trace.EvFinish, "ack"), "", false},
 		{ev(1, 0, 0, 0, trace.EvFinish, "decodefail"), "", false},
-		{ev(1, 0, 0, 0, trace.EvDrop, "rx-unavailable"), flight.TriggerArenaFailure, true},
 		{ev(1, 0, 0, 0, trace.EvDrop, "queue-full"), flight.TriggerOverrun, true},
 		{ev(1, 0, 0, 0, trace.EvDrop, "slack"), flight.TriggerDrop, true},
 		{ev(1, 0, 0, 0, trace.EvStart, ""), "", false},

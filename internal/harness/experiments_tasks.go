@@ -18,39 +18,37 @@ func init() {
 	register("fig18", "Local vs migrated task processing times", fig18)
 }
 
-// measuredPipeline builds one decodable MCS-27 subframe and returns the
-// receiver plus its staged pipeline, for wall-clock task measurements on
-// this repository's own PHY (the paper's Fig. 4 measures OAI's). Receivers
-// come from the arena so repeated trials reuse warmed scratch.
-func measuredPipeline(arena *phy.Arena, seed uint64) (*phy.Receiver, [][]complex128, float64, error) {
-	cfg := phy.Config{
-		Bandwidth: lte.BW10MHz,
-		MCS:       27,
-		Antennas:  2,
-		RNTI:      0x1001,
-		CellID:    7,
-	}
-	tx, err := phy.NewTransmitter(cfg)
+// measuredConfig is the MCS-27, 2-antenna link of the wall-clock task
+// measurements on this repository's own PHY (the paper's Fig. 4 measures
+// OAI's).
+var measuredConfig = phy.Config{
+	Bandwidth: lte.BW10MHz,
+	MCS:       27,
+	Antennas:  2,
+	RNTI:      0x1001,
+	CellID:    7,
+}
+
+// measuredPipeline builds one decodable measuredConfig subframe and returns
+// its samples and noise power.
+func measuredPipeline(seed uint64) ([][]complex128, float64, error) {
+	tx, err := phy.NewTransmitter(measuredConfig)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
 	r := stats.NewRNG(seed)
 	payload := make([]byte, tx.TBS())
 	bits.RandomBits(payload, r.Uint64)
 	wave, err := tx.Transmit(payload)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
-	ch, err := channel.New(30, cfg.Antennas, seed+1)
+	ch, err := channel.New(30, measuredConfig.Antennas, seed+1)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
 	iq, _ := ch.Apply(wave)
-	rx, err := arena.Get(cfg)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return rx, iq, ch.N0(), nil
+	return iq, ch.N0(), nil
 }
 
 // fig4 measures the FFT and decode tasks of the real Go chain on one vs two
@@ -61,7 +59,11 @@ func fig4(o Options) (*Table, error) {
 	if o.Quick {
 		trials = 5
 	}
-	arena := phy.NewArena()
+	// One receiver serves every trial, so they all run on warmed scratch.
+	rx, err := phy.NewReceiver(measuredConfig)
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{ID: "fig4", Title: "Measured Go-PHY task times (ms), MCS 27, N = 2",
 		Columns: []string{"task", "cores", "p50_ms", "min_ms"}}
 	serial := phy.NewPool(1) // runs the stages that feed the measured one
@@ -71,7 +73,7 @@ func fig4(o Options) (*Table, error) {
 			pool := phy.NewPool(workers)
 			var samples []float64
 			for i := 0; i < trials; i++ {
-				rx, iq, n0, err := measuredPipeline(arena, o.seed()+uint64(i))
+				iq, n0, err := measuredPipeline(o.seed() + uint64(i))
 				if err != nil {
 					return nil, err
 				}
@@ -88,7 +90,6 @@ func fig4(o Options) (*Table, error) {
 					}
 					serial.Run(st.Subtasks)
 				}
-				arena.Put(rx)
 			}
 			pool.Close()
 			t.AddRow(string(task), workers,

@@ -10,7 +10,6 @@ import (
 
 	"rtopex/internal/bits"
 	"rtopex/internal/channel"
-	"rtopex/internal/obs"
 	"rtopex/internal/stats"
 )
 
@@ -225,97 +224,4 @@ func TestProcessAllocFree(t *testing.T) {
 			t.Fatalf("Process allocates %.1f objects per subframe, want 0", allocs)
 		}
 	})
-}
-
-func TestArenaHitsAndMisses(t *testing.T) {
-	a := NewArena()
-	reg := obs.NewRegistry()
-	a.PublishTo(reg)
-	cfg := testConfig(13, 2)
-
-	rx1, err := a.Get(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h, m := a.Stats(); h != 0 || m != 1 {
-		t.Fatalf("after first Get: hits=%d misses=%d, want 0/1", h, m)
-	}
-	// sync.Pool may drop a Put (it deliberately does so at random under the
-	// race detector), so loop until a recycle is observed.
-	recycled := false
-	for try := 0; try < 50 && !recycled; try++ {
-		a.Put(rx1)
-		rx2, err := a.Get(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		recycled = rx2 == rx1
-		rx1 = rx2
-	}
-	if !recycled {
-		t.Fatal("pool never recycled the receiver")
-	}
-	hits, misses := a.Stats()
-	if hits < 1 {
-		t.Fatalf("hits = %d, want >= 1", hits)
-	}
-
-	// A different config is its own pool.
-	other := testConfig(5, 1)
-	if _, err := a.Get(other); err != nil {
-		t.Fatal(err)
-	}
-	if _, m := a.Stats(); m != misses+1 {
-		t.Fatalf("second config misses = %d, want %d", m, misses+1)
-	}
-	hits, misses = a.Stats()
-
-	if got := reg.Counter("rtopex_phy_arena_hits_total").Value(); got != hits {
-		t.Fatalf("published hit counter = %d, stats say %d", got, hits)
-	}
-	if got := reg.Counter("rtopex_phy_arena_misses_total").Value(); got != misses {
-		t.Fatalf("published miss counter = %d, stats say %d", got, misses)
-	}
-
-	if _, err := a.Get(Config{}); err == nil {
-		t.Fatal("invalid config accepted")
-	}
-	a.Put(nil) // must not panic
-}
-
-// TestArenaRecycledReceiverDecodes: a receiver that went through the arena
-// must keep decoding correctly (its scratch is reset per subframe).
-func TestArenaRecycledReceiverDecodes(t *testing.T) {
-	a := NewArena()
-	cfg := testConfig(21, 2)
-	tx, _ := NewTransmitter(cfg)
-	ch, _ := channel.New(30, 2, 650)
-	// Synthesize every round's subframe first: the Get/Process/Put loop
-	// below then allocates nothing, so no collection empties the pool
-	// between a Put and the next Get and the hit assertion stops flaking.
-	const rounds = 3
-	var payloads [rounds][]byte
-	var iqs [rounds][][]complex128
-	for round := range payloads {
-		payloads[round] = randomPayload(t, tx, uint64(660+round))
-		wave, _ := tx.Transmit(payloads[round])
-		iqs[round], _ = ch.Apply(wave)
-	}
-	for round, payload := range payloads {
-		rx, err := a.Get(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := rx.Process(iqs[round], ch.N0())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.OK || bits.HammingDistance(res.Payload, payload) != 0 {
-			t.Fatalf("round %d: recycled receiver failed to decode", round)
-		}
-		a.Put(rx)
-	}
-	if h, _ := a.Stats(); h < 1 {
-		t.Fatal("no arena hits across rounds")
-	}
 }

@@ -26,8 +26,8 @@ func newLiveObs(reg *obs.Registry) *liveObs {
 	}
 	reg.SetHelp("rtopex_live_subframes_total", "Subframes released to the live PHY chain.")
 	reg.SetHelp("rtopex_live_decoded_total", "Subframes decoded within the deadline.")
-	reg.SetHelp("rtopex_live_decode_fail_total", "Subframes whose channel code failed to converge.")
-	reg.SetHelp("rtopex_live_missed_total", "Subframes completed after the deadline.")
+	reg.SetHelp("rtopex_live_decode_fail_total", "Subframes whose channel code failed to converge within the deadline.")
+	reg.SetHelp("rtopex_live_missed_total", "Subframes completed after the deadline, decoded or not.")
 	reg.SetHelp("rtopex_live_dropped_total", "Subframes dropped because the core was still busy.")
 	reg.SetHelp("rtopex_live_proc_us", "Per-subframe wall-clock processing time.")
 	reg.SetHelp("rtopex_live_late_us", "Tardiness of subframes that missed the deadline.")
@@ -60,9 +60,9 @@ func (l *liveObs) stage(name phy.TaskName, us float64) {
 	}
 }
 
-// processed books one completed subframe. outcome is the EvFinish detail
-// ("ack"/"late"/"decodefail"); lateUS > 0 marks a deadline miss regardless
-// of outcome (a decode failure can also be late, matching Stats).
+// processed books one completed subframe under its single outcome, the
+// EvFinish detail ("ack"/"late"/"decodefail"); lateUS is the tardiness of a
+// late one.
 func (l *liveObs) processed(outcome string, procUS, lateUS float64) {
 	if l == nil {
 		return
@@ -74,8 +74,7 @@ func (l *liveObs) processed(outcome string, procUS, lateUS float64) {
 		l.decoded.Inc()
 	case "decodefail":
 		l.decodeFail.Inc()
-	}
-	if lateUS > 0 {
+	case "late":
 		l.missed.Inc()
 		l.lateUS.Observe(lateUS)
 	}

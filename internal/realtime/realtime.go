@@ -74,9 +74,8 @@ type Config struct {
 	// exposes mid-run.
 	Obs *obs.Registry
 	// Flight, when non-nil, arms the deadline-miss flight recorder: a tap
-	// joins the (locked) event stream, and late finishes, queue-full drops
-	// and receiver-arena failures freeze miss dossiers. Works with or
-	// without Tracer.
+	// joins the (locked) event stream, and late finishes and queue-full
+	// drops freeze miss dossiers. Works with or without Tracer.
 	Flight *flight.Recorder
 }
 
@@ -110,8 +109,8 @@ func (c Config) validate() error {
 type Stats struct {
 	Subframes  int
 	Decoded    int
-	DecodeFail int // CRC failures (channel, not schedule)
-	Missed     int // completed after the deadline
+	DecodeFail int // CRC failures within the deadline (channel, not schedule)
+	Missed     int // completed after the deadline, decoded or not
 	Dropped    int // core still busy when the next subframe arrived
 	// ProcUS are per-subframe wall-clock processing times in µs.
 	ProcUS []float64
@@ -141,13 +140,6 @@ type prebuilt struct {
 type job struct {
 	bs, idx int
 	release time.Time
-}
-
-// arenaGet is how workers borrow receivers; tests swap it to inject
-// acquisition failures and prove dropped subframes are recorded, not
-// silently skipped.
-var arenaGet = func(a *phy.Arena, cfg phy.Config) (*phy.Receiver, error) {
-	return a.Get(cfg)
 }
 
 // Run executes the live partitioned schedule: CoresPerBS worker goroutines
@@ -251,14 +243,12 @@ func Run(cfg Config) (*Stats, error) {
 
 	st := &Stats{}
 	lo := newLiveObs(cfg.Obs)
-	// Receivers come from a shared arena so cores decoding the same config
-	// recycle warmed scratch instead of each holding a private copy per MCS.
-	arena := phy.NewArena()
-	arena.PublishTo(cfg.Obs)
 	var mu sync.Mutex
 
 	// account settles one processed subframe against its deadline; every
-	// worker core classifies its outcomes through it.
+	// worker core classifies its outcomes through it. Each subframe gets
+	// exactly one outcome, and late takes precedence over a decode failure,
+	// as in sched.Metrics.
 	account := func(core, bs, idx int, release, start, done time.Time, res phy.Result, perr error) {
 		outcome := "ack"
 		procUS := done.Sub(start).Seconds() * 1e6
@@ -269,19 +259,14 @@ func Run(cfg Config) (*Stats, error) {
 		st.WaitUS = append(st.WaitUS, start.Sub(release).Seconds()*1e6)
 		deadline := release.Add(budget)
 		switch {
-		case perr != nil || !res.OK:
-			st.DecodeFail++
-			outcome = "decodefail"
-			if done.After(deadline) {
-				lateUS = done.Sub(deadline).Seconds() * 1e6
-				st.Missed++
-				st.LateUS = append(st.LateUS, lateUS)
-			}
 		case done.After(deadline):
 			lateUS = done.Sub(deadline).Seconds() * 1e6
 			st.Missed++
 			st.LateUS = append(st.LateUS, lateUS)
 			outcome = "late"
+		case perr != nil || !res.OK:
+			st.DecodeFail++
+			outcome = "decodefail"
 		default:
 			st.Decoded++
 		}
@@ -294,8 +279,8 @@ func Run(cfg Config) (*Stats, error) {
 			emit(done, core, bs, idx, trace.EvFinish, outcome)
 		}
 	}
-	// drop records a subframe that never got processing — the feeder found
-	// the core's queue full, or no receiver could be acquired for it.
+	// drop records a subframe that never got processing: the feeder found
+	// the core's queue full.
 	drop := func(at time.Time, core, bs, idx int, why string) {
 		mu.Lock()
 		st.Subframes++
@@ -319,16 +304,20 @@ func Run(cfg Config) (*Stats, error) {
 			// worker runs them inline on this goroutine).
 			pool := phy.NewPool(max(cfg.PHYWorkers, 1))
 			defer pool.Close()
+			// The core owns one receiver per MCS slot of its basestation,
+			// built on the slot's first subframe, so its working set stays
+			// warm (§4.4) and nothing is shared between cores.
+			rxs := make([]*phy.Receiver, len(pools[bs]))
 			for j := range queues[core] {
-				pb := pools[bs][mcsAt[bs][j.idx]]
-				rx, err := arenaGet(arena, phyConfig(pb.mcs, cfg.Antennas))
-				if err != nil {
-					// A subframe that cannot get a receiver is enforcement,
-					// not silence: it counts, it drops, and it traces, so
-					// the schedule's miss accounting stays truthful.
-					drop(time.Now(), core, bs, j.idx, "rx-unavailable")
-					continue
+				slot := mcsAt[bs][j.idx]
+				pb := pools[bs][slot]
+				// A NewReceiver error is accounted like a Pipeline error, so
+				// the subframe is still counted, traced and published.
+				var err error
+				if rxs[slot] == nil {
+					rxs[slot], err = phy.NewReceiver(phyConfig(pb.mcs, cfg.Antennas))
 				}
+				rx := rxs[slot]
 				start := time.Now()
 				if tr != nil {
 					emit(start, core, bs, j.idx, trace.EvStart, "")
@@ -336,22 +325,24 @@ func Run(cfg Config) (*Stats, error) {
 				// Walk the pipeline stage by stage: each boundary gets an
 				// EvPhase when traced and a per-stage histogram sample, and
 				// each stage's subtasks fan out across the pool.
-				var res phy.Result
-				stages, err := rx.Pipeline(pb.iq, pb.n0)
+				var stages []phy.Stage
 				if err == nil {
-					for _, stg := range stages {
-						stageStart := time.Now()
-						if tr != nil {
-							emit(stageStart, core, bs, j.idx, trace.EvPhase, string(stg.Name))
-						}
-						pool.Run(stg.Subtasks)
-						lo.stage(stg.Name, time.Since(stageStart).Seconds()*1e6)
+					stages, err = rx.Pipeline(pb.iq, pb.n0)
+				}
+				for _, stg := range stages {
+					stageStart := time.Now()
+					if tr != nil {
+						emit(stageStart, core, bs, j.idx, trace.EvPhase, string(stg.Name))
 					}
+					pool.Run(stg.Subtasks)
+					lo.stage(stg.Name, time.Since(stageStart).Seconds()*1e6)
+				}
+				var res phy.Result
+				if err == nil {
 					res = rx.Result()
 				}
 				done := time.Now()
 				account(core, bs, j.idx, j.release, start, done, res, err)
-				arena.Put(rx) // res (aliasing rx's scratch) is fully consumed
 			}
 		}()
 	}

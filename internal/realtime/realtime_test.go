@@ -1,11 +1,9 @@
 package realtime
 
 import (
-	"errors"
 	"testing"
 
 	"rtopex/internal/obs"
-	"rtopex/internal/phy"
 	"rtopex/internal/trace"
 )
 
@@ -44,6 +42,7 @@ func TestLiveRunFixedMCS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkAccounting(t, st)
 	if st.Subframes != 10 {
 		t.Fatalf("accounted %d subframes, want 10", st.Subframes)
 	}
@@ -57,9 +56,6 @@ func TestLiveRunFixedMCS(t *testing.T) {
 		if p <= 0 {
 			t.Fatal("non-positive processing time")
 		}
-	}
-	if len(st.WaitUS) != len(st.ProcUS) {
-		t.Fatalf("%d release → start samples for %d processing times", len(st.WaitUS), len(st.ProcUS))
 	}
 	for _, w := range st.WaitUS {
 		if w < 0 {
@@ -86,6 +82,7 @@ func TestLiveRunTraceDriven(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkAccounting(t, st)
 	if st.Subframes != 16 {
 		t.Fatalf("accounted %d subframes, want 16", st.Subframes)
 	}
@@ -114,6 +111,7 @@ func TestLiveRunTraced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkAccounting(t, st)
 	events := ring.Events()
 	counts := map[trace.Kind]int{}
 	phases := map[string]int{}
@@ -184,6 +182,7 @@ func TestLiveRunObserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkAccounting(t, st)
 	// The live registry must agree with the final Stats on every counter.
 	if got := reg.Counter("rtopex_live_subframes_total").Value(); got != int64(st.Subframes) {
 		t.Fatalf("live subframes = %d, stats %d", got, st.Subframes)
@@ -206,112 +205,54 @@ func TestLiveRunObserved(t *testing.T) {
 	}
 }
 
-// TestWorkerDecodesPerCodeBlock: the receiver a serial worker (1-worker
-// phy.Pool) borrows carries one decode subtask per code block — the granularity
-// Algorithm 1 migrates is a property of the live path itself, not a side
-// effect of PHYWorkers.
-func TestWorkerDecodesPerCodeBlock(t *testing.T) {
+// TestLateDecodeFailureCountsOnce: a subframe whose CRC fails after its
+// deadline has exactly one outcome, late, in Stats, the trace and the live
+// registry.
+func TestLateDecodeFailureCountsOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live run is wall-clock bound")
 	}
-	const mcs = 27
-	orig := arenaGet
-	borrowed := 0
-	arenaGet = func(a *phy.Arena, cfg phy.Config) (*phy.Receiver, error) {
-		rx, err := orig(a, cfg)
-		if err != nil {
-			return nil, err
-		}
-		borrowed++
-		iq := [][]complex128{make([]complex128, cfg.Bandwidth.SamplesPerSubframe())}
-		stages, err := rx.Pipeline(iq, 1)
-		if err != nil {
-			t.Errorf("borrowed receiver rejects a subframe: %v", err)
-			return rx, nil
-		}
-		decode := stages[len(stages)-1]
-		if decode.Name != phy.TaskDecode || rx.CodeBlocks() != 6 || len(decode.Subtasks) != rx.CodeBlocks() {
-			t.Errorf("stage %q: %d subtasks for %d code blocks, want one per block of 6",
-				decode.Name, len(decode.Subtasks), rx.CodeBlocks())
-		}
-		return rx, nil
-	}
-	defer func() { arenaGet = orig }()
-
-	st, err := Run(Config{
-		Basestations: 1,
-		CoresPerBS:   1, // one worker goroutine: borrowed needs no lock
-		Subframes:    3,
-		Antennas:     1,
-		SNRdB:        30,
-		MCS:          mcs,
-		Dilation:     50,
-		Seed:         9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if borrowed == 0 || st.Decoded == 0 {
-		t.Fatalf("borrowed %d receivers, decoded %d subframes", borrowed, st.Decoded)
-	}
-}
-
-// TestArenaFailureIsRecordedDrop is the regression for the silently-skipped
-// subframe: when no receiver can be acquired, the subframe must still be
-// counted, recorded as a drop, traced as EvDrop, and mirrored into the live
-// registry — pre-fix code `continue`d and the subframe vanished from every
-// ledger.
-func TestArenaFailureIsRecordedDrop(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live run is wall-clock bound")
-	}
-	orig := arenaGet
-	arenaGet = func(a *phy.Arena, cfg phy.Config) (*phy.Receiver, error) {
-		return nil, errors.New("injected: receiver unavailable")
-	}
-	defer func() { arenaGet = orig }()
-
 	ring := trace.NewRing(0)
 	reg := obs.NewRegistry()
-	const n = 5
+	const n = 3
+	// At −5 dB every MCS-27 block fails CRC after the full iteration cap,
+	// far beyond the 0.5 ms budget of Dilation 0.25.
 	st, err := Run(Config{
 		Basestations: 1,
-		CoresPerBS:   2,
+		CoresPerBS:   1,
 		Subframes:    n,
 		Antennas:     1,
-		SNRdB:        30,
-		MCS:          0,
-		Dilation:     20,
-		Seed:         5,
+		SNRdB:        -5,
+		MCS:          27,
+		Dilation:     0.25,
+		Seed:         6,
 		Tracer:       ring,
 		Obs:          reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Subframes != n {
-		t.Fatalf("accounted %d subframes, want %d (drops must still count)", st.Subframes, n)
+	checkAccounting(t, st)
+	if st.Missed != n || st.DecodeFail != 0 {
+		t.Fatalf("missed %d, decode failures %d; want %d late and none failed: %+v", st.Missed, st.DecodeFail, n, *st)
 	}
-	if st.Dropped != n {
-		t.Fatalf("dropped %d, want all %d", st.Dropped, n)
-	}
-	if st.Decoded != 0 || st.Missed != 0 || st.DecodeFail != 0 {
-		t.Fatalf("unexpected outcomes: %+v", *st)
-	}
-	drops := 0
+	finishes := 0
 	for _, e := range ring.Events() {
-		if e.Event == trace.EvDrop {
-			drops++
-			if e.Detail != "rx-unavailable" {
-				t.Fatalf("drop detail %q, want rx-unavailable", e.Detail)
+		if e.Event == trace.EvFinish {
+			finishes++
+			if e.Detail != "late" {
+				t.Fatalf("finish detail %q, want late", e.Detail)
 			}
 		}
 	}
-	if drops != n {
-		t.Fatalf("%d EvDrop events, want %d", drops, n)
+	if finishes != n {
+		t.Fatalf("%d EvFinish events, want %d", finishes, n)
 	}
-	if got := reg.Counter("rtopex_live_dropped_total").Value(); got != n {
-		t.Fatalf("live dropped counter = %d, want %d", got, n)
+	if got := reg.Counter("rtopex_live_decode_fail_total").Value(); got != 0 {
+		t.Fatalf("live decode-fail counter = %d, want 0", got)
+	}
+	if got := reg.Counter("rtopex_live_missed_total").Value(); got != n {
+		t.Fatalf("live missed counter = %d, want %d", got, n)
 	}
 }
 
@@ -322,5 +263,23 @@ func TestStatsMissRate(t *testing.T) {
 	}
 	if (&Stats{}).MissRate() != 0 {
 		t.Fatal("empty stats miss rate")
+	}
+}
+
+// checkAccounting asserts the invariants every live run keeps: each
+// released subframe has exactly one outcome, each processed one a
+// processing and a wait sample, and each missed one a tardiness sample.
+func checkAccounting(t *testing.T, st *Stats) {
+	t.Helper()
+	if got := st.Decoded + st.DecodeFail + st.Missed + st.Dropped; got != st.Subframes {
+		t.Fatalf("outcomes sum to %d for %d subframes: %+v", got, st.Subframes, *st)
+	}
+	processed := st.Subframes - st.Dropped
+	if len(st.ProcUS) != processed || len(st.WaitUS) != processed {
+		t.Fatalf("%d processing and %d wait samples for %d processed subframes",
+			len(st.ProcUS), len(st.WaitUS), processed)
+	}
+	if len(st.LateUS) != st.Missed {
+		t.Fatalf("%d tardiness samples for %d missed subframes", len(st.LateUS), st.Missed)
 	}
 }
