@@ -359,7 +359,7 @@ func printTallies(log *trace.EventLog) {
 	for _, e := range log.Events {
 		kinds[e.Event]++
 		if e.Event == trace.EvFinish {
-			outcomes[e.Detail]++
+			outcomes[e.Text()]++
 		}
 	}
 	fmt.Println("migration-batch lifecycle:")
@@ -411,7 +411,7 @@ func printJob(log *trace.EventLog, bs, sf int) {
 			continue
 		}
 		n++
-		fmt.Printf("%10.1f µs  core %2d  %-13s %s\n", e.Time, e.Core, e.Event, e.Detail)
+		fmt.Printf("%10.1f µs  core %2d  %-13s %s\n", e.Time, e.Core, e.Event, e.Text())
 	}
 	if n == 0 {
 		fmt.Printf("no events for subframe %d:%d\n", bs, sf)
@@ -425,12 +425,12 @@ func explainMisses(log *trace.EventLog, n int) {
 	seen := map[key]bool{}
 	shown := 0
 	for _, e := range sortedEvents(log) {
-		miss := e.Event == trace.EvDrop || (e.Event == trace.EvFinish && e.Detail == "late")
+		miss := e.Event == trace.EvDrop || (e.Event == trace.EvFinish && e.Text() == "late")
 		if !miss || seen[key{e.BS, e.Subframe}] {
 			continue
 		}
 		seen[key{e.BS, e.Subframe}] = true
-		fmt.Printf("-- subframe %d:%d missed (%s %s) --\n", e.BS, e.Subframe, e.Event, e.Detail)
+		fmt.Printf("-- subframe %d:%d missed (%s %s) --\n", e.BS, e.Subframe, e.Event, e.Text())
 		printJob(log, e.BS, e.Subframe)
 		shown++
 		if shown >= n {

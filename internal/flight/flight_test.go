@@ -151,6 +151,28 @@ func TestRingWraparound(t *testing.T) {
 	}
 }
 
+// TestTapEmitAllocationFree: once its rings are warm, a tap stores a
+// non-trigger event, and feeds its own accountant, without allocating.
+func TestTapEmitAllocationFree(t *testing.T) {
+	rec := flight.New(flight.Config{})
+	defer rec.Close()
+	tap := rec.NewTap(flight.TapConfig{})
+	plan := trace.Event{Time: 1, Core: 3, BS: 1, Subframe: 5, Event: trace.EvMigPlan,
+		Render: trace.RenderInt, Detail: "fft n=", Arg: 3}
+	phase := ev(2, 3, 1, 5, trace.EvPhase, "fft")
+	for i := 0; i < 1024; i++ {
+		tap.Emit(plan)
+		tap.Emit(phase)
+	}
+	n := testing.AllocsPerRun(1000, func() {
+		tap.Emit(plan)
+		tap.Emit(phase)
+	})
+	if n != 0 {
+		t.Fatalf("Tap.Emit: %v allocations per pair of events, want 0", n)
+	}
+}
+
 // TestPostTriggerWindow: with PostEvents set, the dossier stays pending
 // until the post-trigger tail arrives, and a tap closed mid-window still
 // flushes the partial dossier.

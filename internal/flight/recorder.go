@@ -393,9 +393,6 @@ func (r *Recorder) NewTap(cfg TapConfig) *Tap {
 	return t
 }
 
-// Enabled implements trace.Tracer.
-func (t *Tap) Enabled() bool { return true }
-
 // Emit implements trace.Tracer: ring the event, feed the utilization
 // accountant, and classify. The common (non-trigger) path is one ring
 // store and one switch — lock-free, bounded, and allocation-free after the

@@ -52,7 +52,7 @@ func StageBreakdown(d *Dossier) (stages []Stage, startUS, endUS float64, ok bool
 		if i+1 < len(phases) {
 			end = phases[i+1].Time
 		}
-		stages = append(stages, Stage{Name: p.Detail, StartUS: p.Time, DurUS: end - p.Time})
+		stages = append(stages, Stage{Name: p.Text(), StartUS: p.Time, DurUS: end - p.Time})
 	}
 	return stages, startUS, endUS, true
 }
@@ -69,7 +69,7 @@ func WritePostMortem(w io.Writer, d *Dossier) error {
 	}
 	fmt.Fprintf(bw, "miss dossier #%d — %s at t=%.1f µs (run %q, bs %d sf %d, core %d)\n",
 		d.Seq, d.Trigger, d.TriggerEvent.Time, label, d.TriggerEvent.BS, d.TriggerEvent.Subframe, d.TriggerEvent.Core)
-	fmt.Fprintf(bw, "trigger event: %s %q\n", d.TriggerEvent.Event, d.TriggerEvent.Detail)
+	fmt.Fprintf(bw, "trigger event: %s %q\n", d.TriggerEvent.Event, d.TriggerEvent.Text())
 
 	if d.DeadlineUS > 0 || d.BudgetUS > 0 {
 		bw.WriteString("\nbudget window:\n")
@@ -114,7 +114,7 @@ func WritePostMortem(w io.Writer, d *Dossier) error {
 	if migs := migrationEvents(d); len(migs) > 0 {
 		bw.WriteString("\nmigration activity in window (triggering subframe):\n")
 		for _, e := range migs {
-			fmt.Fprintf(bw, "  t=%.1f core %d %s %s\n", e.Time, e.Core, e.Event, e.Detail)
+			fmt.Fprintf(bw, "  t=%.1f core %d %s %s\n", e.Time, e.Core, e.Event, e.Text())
 		}
 	}
 

@@ -47,24 +47,21 @@ type RunResult struct {
 // ring of the given capacity attached (ringCap ≤ 0 retains every event) and
 // engine instrumentation enabled, plus an optional live registry and an
 // optional flight recorder: the run's trace stream additionally drives a
-// per-core utilization accountant, the engine hook fans out to the
-// registry's event counters, and the finished metrics are published under
-// the scheduler's label. reg may be nil, which skips the registry
-// publishing but still computes Utilization. rec, when non-nil, arms the
-// deadline-miss flight recorder; the run's own accountant supplies the
-// dossiers' core fractions, so arming adds no second accounting pass.
+// per-core utilization accountant, and once the run ends its engine
+// statistics are added to the registry's event counters and its metrics
+// are published under the scheduler's label. reg may be nil, which skips
+// the registry publishing but still computes Utilization. rec, when
+// non-nil, arms the deadline-miss flight recorder; the run's own
+// accountant supplies the dossiers' core fractions, so arming adds no
+// second accounting pass.
 func TracedRunObserved(w *sched.Workload, s sched.Scheduler, cores, ringCap int, reg *obs.Registry, rec *flight.Recorder) (*RunResult, error) {
 	ring := trace.NewRing(ringCap)
 	acct := obs.NewCoreAccountant()
 	res := &RunResult{}
-	hook := platform.Hooks(&res.Engine)
-	if reg != nil {
-		hook = platform.Hooks(&res.Engine, obs.NewEngineHook(reg))
-	}
 	rc := sched.RunConfig{
 		Cores:      cores,
 		Tracer:     trace.Tee(ring, acct),
-		EngineHook: hook,
+		EngineHook: &res.Engine,
 	}
 	if rec != nil {
 		rc.Flight = rec
@@ -85,10 +82,22 @@ func TracedRunObserved(w *sched.Workload, s sched.Scheduler, cores, ringCap int,
 	}
 	res.Utilization = acct.Reports(cores, res.Engine.EndTimeUS)
 	if reg != nil {
+		res.Engine.publish(reg)
 		sched.PublishMetrics(reg, m)
 		acct.Publish(reg, cores, res.Engine.EndTimeUS)
 	}
 	return res, nil
+}
+
+// publish adds one run's engine activity to reg's event counters and sets
+// its clock gauge to the run's final simulation time.
+func (s *EngineStats) publish(reg *obs.Registry) {
+	reg.SetHelp("rtopex_engine_events_scheduled_total", "Discrete-event engine events scheduled.")
+	reg.SetHelp("rtopex_engine_events_executed_total", "Discrete-event engine events executed.")
+	reg.SetHelp("rtopex_engine_clock_us", "Current simulation clock in microseconds.")
+	reg.Counter("rtopex_engine_events_scheduled_total").Add(s.Scheduled)
+	reg.Counter("rtopex_engine_events_executed_total").Add(s.Executed)
+	reg.Gauge("rtopex_engine_clock_us").Set(s.EndTimeUS)
 }
 
 // metricsDoc is the exported metrics document: run metrics plus engine

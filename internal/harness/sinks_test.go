@@ -2,10 +2,13 @@ package harness
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
+	"rtopex/internal/flight"
 	"rtopex/internal/lte"
 	"rtopex/internal/model"
+	"rtopex/internal/obs"
 	"rtopex/internal/sched"
 	"rtopex/internal/stats"
 	"rtopex/internal/trace"
@@ -105,5 +108,87 @@ func TestTracedRunDeterministicExports(t *testing.T) {
 	}
 	if !bytes.Equal(t1, t2) {
 		t.Fatal("trace exports differ between identical runs")
+	}
+}
+
+// TestObservedRunAllocationCeiling holds a fully observed run — event ring,
+// accountant, registry and flight recorder — near the bare run's one
+// allocation per subframe: building an event costs a store, not a string.
+func TestObservedRunAllocationCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	const subframes, ceiling = 1000, 1.5
+	w := jitteryWorkload(t, subframes, 1)
+	reg := obs.NewRegistry()
+	rec := flight.New(flight.Config{Registry: reg})
+	defer rec.Close()
+	run := func() {
+		if _, err := TracedRunObserved(w, sched.NewRTOPEX(2), 8, 4096, reg, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	perSubframe := testing.AllocsPerRun(3, run) / (4 * subframes)
+	if perSubframe > ceiling {
+		t.Fatalf("%.2f allocations per subframe, ceiling %v", perSubframe, ceiling)
+	}
+	t.Logf("%.2f allocations per subframe", perSubframe)
+}
+
+// TestEventLogReadBackIsByteIdentical: a full traced RT-OPEX run's event
+// log, written, read back and written again, repeats byte for byte — the
+// numeric details render in the first write exactly as the literal details
+// read back render in the second.
+func TestEventLogReadBackIsByteIdentical(t *testing.T) {
+	res, err := TracedRunObserved(jitteryWorkload(t, 1000, 7), sched.NewRTOPEX(2), 8, 0, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first, second bytes.Buffer
+	if err := res.Log.WriteJSON(&first); err != nil {
+		t.Fatal(err)
+	}
+	back, err := trace.ReadEventLog(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := back.WriteJSON(&second); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatal("event log changed on a write–read–write round trip")
+	}
+	for _, s := range []string{`"mig-wait","detail":"`, `"detail":"fft n=`, ` slow"`, ` preempted"`} {
+		if !strings.Contains(first.String(), s) {
+			t.Errorf("event log has no %q: the run does not exercise every numeric detail", s)
+		}
+	}
+}
+
+// TestObservedRunPublishesEngineCounters: each observed run adds its engine
+// statistics to the registry's event counters and leaves the clock gauge
+// at its final simulation time.
+func TestObservedRunPublishesEngineCounters(t *testing.T) {
+	reg := obs.NewRegistry()
+	var scheduled, executed int64
+	var end float64
+	for _, seed := range []uint64{3, 4} {
+		res, err := TracedRunObserved(jitteryWorkload(t, 200, seed), sched.NewRTOPEX(2), 8, 64, reg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scheduled += res.Engine.Scheduled
+		executed += res.Engine.Executed
+		end = res.Engine.EndTimeUS
+	}
+	if got := reg.Counter("rtopex_engine_events_scheduled_total").Value(); got != scheduled || got == 0 {
+		t.Errorf("scheduled counter = %d, want %d over both runs", got, scheduled)
+	}
+	if got := reg.Counter("rtopex_engine_events_executed_total").Value(); got != executed || got == 0 {
+		t.Errorf("executed counter = %d, want %d over both runs", got, executed)
+	}
+	if got := reg.Gauge("rtopex_engine_clock_us").Value(); got != end {
+		t.Errorf("clock gauge = %v, want the last run's end %v", got, end)
 	}
 }

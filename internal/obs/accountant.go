@@ -3,9 +3,7 @@ package obs
 import (
 	"fmt"
 	"sort"
-	"sync"
 
-	"rtopex/internal/platform"
 	"rtopex/internal/trace"
 )
 
@@ -15,15 +13,15 @@ import (
 // EvMigComplete/EvMigPreempt/EvMigAbandon is the core hosting a *migrated*
 // batch (the paper's migration overhead); everything else is idle. It
 // implements trace.Tracer, so it attaches anywhere a Ring does — typically
-// fanned out beside one via trace.Tee — and it is safe for concurrent
-// emitters (the realtime layer's workers).
+// fanned out beside one via trace.Tee. Like Ring, it is unsynchronized:
+// concurrent emitters (the realtime layer's workers) serialize it with
+// trace.Locked, and Reports and Publish run once emission has stopped.
 //
 // The replay mirrors cmd/rtoptrace's timeline painter, so the fractions it
 // reports are, by construction, the ink ('#' and 'm' columns) of the ASCII
 // timeline divided by the window.
 type CoreAccountant struct {
-	mu    sync.Mutex
-	cores map[int]*coreAcct
+	cores []coreAcct // indexed by core
 	end   float64
 }
 
@@ -37,28 +35,20 @@ type coreAcct struct {
 }
 
 // NewCoreAccountant creates an empty accountant.
-func NewCoreAccountant() *CoreAccountant {
-	return &CoreAccountant{cores: map[int]*coreAcct{}}
-}
-
-// Enabled implements trace.Tracer.
-func (a *CoreAccountant) Enabled() bool { return true }
+func NewCoreAccountant() *CoreAccountant { return &CoreAccountant{} }
 
 // Emit implements trace.Tracer.
 func (a *CoreAccountant) Emit(e trace.Event) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if e.Time > a.end {
 		a.end = e.Time
 	}
 	if e.Core < 0 {
 		return
 	}
-	c, ok := a.cores[e.Core]
-	if !ok {
-		c = &coreAcct{}
-		a.cores[e.Core] = c
+	for e.Core >= len(a.cores) {
+		a.cores = append(a.cores, coreAcct{})
 	}
+	c := &a.cores[e.Core]
 	switch e.Event {
 	case trace.EvStart:
 		c.jobOpen, c.inJob = e.Time, true
@@ -102,22 +92,17 @@ type CoreReport struct {
 // highest core seen; end ≤ 0 uses the last event time. The three fractions
 // sum to exactly 1.0 per core (idle is computed as the complement).
 func (a *CoreAccountant) Reports(cores int, end float64) []CoreReport {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if end <= 0 {
 		end = a.end
 	}
 	if cores <= 0 {
-		for c := range a.cores {
-			if c+1 > cores {
-				cores = c + 1
-			}
-		}
+		cores = len(a.cores)
 	}
 	out := make([]CoreReport, cores)
 	for i := range out {
 		r := CoreReport{Core: i}
-		if c, ok := a.cores[i]; ok {
+		if i < len(a.cores) {
+			c := &a.cores[i]
 			r.BusyUS, r.MigrationUS = c.busyUS, c.hostUS
 			if c.inJob {
 				r.BusyUS += span(c.jobOpen, end)
@@ -174,37 +159,4 @@ func AccountantFromLog(log *trace.EventLog) *CoreAccountant {
 	return a
 }
 
-// EngineHook counts discrete-event engine activity into a registry: events
-// scheduled, events executed, and the simulation clock as a gauge. It
-// composes with other hooks via platform.Hooks.
-type EngineHook struct {
-	scheduled *Counter
-	executed  *Counter
-	clock     *Gauge
-}
-
-// NewEngineHook creates an engine hook publishing into reg.
-func NewEngineHook(reg *Registry) *EngineHook {
-	reg.SetHelp("rtopex_engine_events_scheduled_total", "Discrete-event engine events scheduled.")
-	reg.SetHelp("rtopex_engine_events_executed_total", "Discrete-event engine events executed.")
-	reg.SetHelp("rtopex_engine_clock_us", "Current simulation clock in microseconds.")
-	return &EngineHook{
-		scheduled: reg.Counter("rtopex_engine_events_scheduled_total"),
-		executed:  reg.Counter("rtopex_engine_events_executed_total"),
-		clock:     reg.Gauge("rtopex_engine_clock_us"),
-	}
-}
-
-// OnAt implements platform.Hook.
-func (h *EngineHook) OnAt(at, now float64) { h.scheduled.Inc() }
-
-// OnStep implements platform.Hook.
-func (h *EngineHook) OnStep(now float64) {
-	h.executed.Inc()
-	h.clock.Set(now)
-}
-
-var (
-	_ trace.Tracer  = (*CoreAccountant)(nil)
-	_ platform.Hook = (*EngineHook)(nil)
-)
+var _ trace.Tracer = (*CoreAccountant)(nil)

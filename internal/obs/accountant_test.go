@@ -98,19 +98,18 @@ func TestAccountantPublish(t *testing.T) {
 	}
 }
 
-func TestEngineHookCounts(t *testing.T) {
-	reg := NewRegistry()
-	h := NewEngineHook(reg)
-	h.OnAt(10, 0)
-	h.OnAt(20, 0)
-	h.OnStep(10)
-	if got := reg.Counter("rtopex_engine_events_scheduled_total").Value(); got != 2 {
-		t.Fatalf("scheduled = %d, want 2", got)
+// TestAccountantEmitAllocationFree: once every core has been seen, an event
+// costs the accountant no allocation.
+func TestAccountantEmitAllocationFree(t *testing.T) {
+	a := NewCoreAccountant()
+	for c := 0; c < 8; c++ {
+		a.Emit(ev(0, c, trace.EvStart))
 	}
-	if got := reg.Counter("rtopex_engine_events_executed_total").Value(); got != 1 {
-		t.Fatalf("executed = %d, want 1", got)
-	}
-	if got := reg.Gauge("rtopex_engine_clock_us").Value(); got != 10 {
-		t.Fatalf("clock = %v, want 10", got)
+	n := testing.AllocsPerRun(1000, func() {
+		a.Emit(ev(10, 7, trace.EvFinish))
+		a.Emit(ev(20, 7, trace.EvStart))
+	})
+	if n != 0 {
+		t.Fatalf("Emit: %v allocations per pair of events, want 0", n)
 	}
 }

@@ -97,9 +97,9 @@ func TestShardedRegistriesMergeExact(t *testing.T) {
 	}
 }
 
-// TestLockedTracerConcurrentEmit hammers trace.Locked and the accountant
-// (both advertised as goroutine-safe) from many emitters and checks the
-// retained event count is exact.
+// TestLockedTracerConcurrentEmit hammers a ring and the accountant, neither
+// synchronized on its own, through trace.Locked from many emitters and
+// checks the retained event count is exact.
 func TestLockedTracerConcurrentEmit(t *testing.T) {
 	const (
 		goroutines = 8

@@ -47,39 +47,6 @@ type Hook interface {
 // SetHook installs (or with nil removes) the engine's observer.
 func (e *Engine) SetHook(h Hook) { e.hook = h }
 
-type multiHook struct{ hooks []Hook }
-
-func (m *multiHook) OnAt(at, now float64) {
-	for _, h := range m.hooks {
-		h.OnAt(at, now)
-	}
-}
-
-func (m *multiHook) OnStep(now float64) {
-	for _, h := range m.hooks {
-		h.OnStep(now)
-	}
-}
-
-// Hooks combines several hooks into one, invoking them in order. Nil hooks
-// are dropped; zero live hooks yields nil (the engine's "no observer" fast
-// path), one yields that hook unwrapped.
-func Hooks(hooks ...Hook) Hook {
-	live := make([]Hook, 0, len(hooks))
-	for _, h := range hooks {
-		if h != nil {
-			live = append(live, h)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return &multiHook{hooks: live}
-}
-
 type event struct {
 	at  float64
 	seq int64

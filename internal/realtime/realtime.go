@@ -194,9 +194,6 @@ func Run(cfg Config) (*Stats, error) {
 	}
 
 	tr := cfg.Tracer
-	if tr != nil && !tr.Enabled() {
-		tr = nil
-	}
 	// epoch anchors every event time; the feeder reuses it as its clock so
 	// traced times and release times share one origin.
 	epoch := time.Now()

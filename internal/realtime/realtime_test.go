@@ -205,6 +205,44 @@ func TestLiveRunObserved(t *testing.T) {
 	}
 }
 
+// TestLiveRunFeedsAccountant wires the accountant in as livebench does, as
+// the run's bare Tracer. The accountant takes no lock of its own, so this
+// pins the contract it relies on: concurrent workers reach every sink
+// through trace.Locked. make race runs it under the race detector.
+func TestLiveRunFeedsAccountant(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live run is wall-clock bound")
+	}
+	acct := obs.NewCoreAccountant()
+	st, err := Run(Config{
+		Basestations: 1,
+		CoresPerBS:   2,
+		Subframes:    40,
+		Antennas:     1,
+		SNRdB:        30,
+		MCS:          0,
+		Dilation:     10,
+		Seed:         5,
+		Tracer:       acct,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAccounting(t, st)
+	reports := acct.Reports(2, 0)
+	if len(reports) != 2 {
+		t.Fatalf("%d core reports, want 2", len(reports))
+	}
+	for _, r := range reports {
+		if sum := r.Busy + r.Migration + r.Idle; sum != 1 {
+			t.Errorf("core %d fractions sum to %v, want 1", r.Core, sum)
+		}
+		if r.Busy <= 0 {
+			t.Errorf("core %d never busy: %+v", r.Core, r)
+		}
+	}
+}
+
 // TestLateDecodeFailureCountsOnce: a subframe whose CRC fails after its
 // deadline has exactly one outcome, late, in Stats, the trace and the live
 // registry.

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"fmt"
 	"sort"
 
 	"rtopex/internal/trace"
@@ -122,9 +121,7 @@ func (p *PRAN) tryStart(j *Job) bool {
 			}
 		}
 	}
-	if p.env.Trace != nil {
-		p.env.emit(claimed[0], j, trace.EvStart, fmt.Sprintf("w=%d", w))
-	}
+	p.env.emitArg(now, claimed[0], j, trace.EvStart, "w=", trace.RenderInt, float64(w))
 	// Execute with the ACTUAL decode time over the planned width; the
 	// plan is never revised at runtime.
 	actual := p.span(j, w, p.actualDecodeWithJitter(j))

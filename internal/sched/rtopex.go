@@ -2,7 +2,6 @@ package sched
 
 import (
 	"math"
-	"strconv"
 
 	"rtopex/internal/trace"
 )
@@ -294,9 +293,7 @@ func (r *RTOPEX) planTask(c *rcore, now float64, subtasks int, tp float64, enabl
 		} else {
 			r.env.M.FFTBatches++
 		}
-		if r.env.Trace != nil {
-			r.env.emit(b.host.id, j, trace.EvMigPlan, countDetail(planPrefix(decode), n, ""))
-		}
+		r.env.emitArg(r.env.Eng.Now(), b.host.id, j, trace.EvMigPlan, planPrefix(decode), trace.RenderInt, float64(n))
 		r.env.Eng.At(r.batchEnd(b), b.complete)
 	}
 	return local
@@ -375,10 +372,8 @@ func (r *RTOPEX) join(localFinish, tp float64, batches []*migBatch) float64 {
 			if unfinished > 0 {
 				recovery += float64(unfinished) * tp
 				r.env.M.Recoveries++
-				if r.env.Trace != nil {
-					r.env.emitAt(localFinish, b.host.id, b.owner, trace.EvMigRecompute,
-						countDetail("n=", unfinished, " preempted"))
-				}
+				r.env.emitArg(localFinish, b.host.id, b.owner, trace.EvMigRecompute,
+					"n= preempted", trace.RenderInt, float64(unfinished))
 			} else {
 				// Preempted after every subtask finished: results usable.
 				r.env.emitAt(localFinish, b.host.id, b.owner, trace.EvMigConsume, "")
@@ -397,20 +392,14 @@ func (r *RTOPEX) join(localFinish, tp float64, batches []*migBatch) float64 {
 			if r.NoWait || recompute < wait {
 				recovery += recompute
 				r.env.M.Recoveries++
-				if r.env.Trace != nil {
-					r.env.emitAt(localFinish, b.host.id, b.owner, trace.EvMigRecompute,
-						countDetail("n=", unfinished, " slow"))
-				}
+				r.env.emitArg(localFinish, b.host.id, b.owner, trace.EvMigRecompute,
+					"n= slow", trace.RenderInt, float64(unfinished))
 				// Host abandons the rest of the batch immediately.
 				if b.host.batch == b {
 					b.host.batch = nil
 				}
 			} else {
-				if r.env.Trace != nil {
-					var buf [32]byte
-					d := append(strconv.AppendFloat(buf[:0], wait, 'g', 3, 64), "us"...)
-					r.env.emitAt(localFinish, b.host.id, b.owner, trace.EvMigWait, string(d))
-				}
+				r.env.emitArg(localFinish, b.host.id, b.owner, trace.EvMigWait, "us", trace.RenderG3, wait)
 				if end > finish {
 					finish = end
 				}
@@ -471,20 +460,13 @@ func (r *RTOPEX) predictedNextPreemption(k *rcore, now float64) float64 {
 	return t
 }
 
-// planPrefix opens a planned batch's trace detail with its task type.
+// planPrefix opens a planned batch's trace detail with its task type; the
+// batch's subtask count follows the '='.
 func planPrefix(decode bool) string {
 	if decode {
 		return "decode n="
 	}
 	return "fft n="
-}
-
-// countDetail renders prefix, n, suffix as one trace detail string.
-func countDetail(prefix string, n int, suffix string) string {
-	var buf [32]byte
-	d := append(buf[:0], prefix...)
-	d = strconv.AppendInt(d, int64(n), 10)
-	return string(append(d, suffix...))
 }
 
 func migratedCount(batches []*migBatch) int {

@@ -282,16 +282,23 @@ type Env struct {
 
 // emit records one trace event at the current engine time.
 func (e *Env) emit(core int, j *Job, kind trace.Kind, detail string) {
-	e.emitAt(e.Eng.Now(), core, j, kind, detail)
+	e.emitArg(e.Eng.Now(), core, j, kind, detail, trace.RenderLiteral, 0)
 }
 
 // emitAt records one trace event at an explicit time (used for events whose
 // effective time is computed rather than the current clock).
 func (e *Env) emitAt(t float64, core int, j *Job, kind trace.Kind, detail string) {
+	e.emitArg(t, core, j, kind, detail, trace.RenderLiteral, 0)
+}
+
+// emitArg records one trace event whose detail embeds the number arg,
+// rendered per r only when the detail is read.
+func (e *Env) emitArg(t float64, core int, j *Job, kind trace.Kind, detail string, r trace.Render, arg float64) {
 	if e.Trace == nil {
 		return
 	}
-	e.Trace.Emit(trace.Event{Time: t, Core: core, BS: j.BS, Subframe: j.Index, Event: kind, Detail: detail})
+	e.Trace.Emit(trace.Event{Time: t, Core: core, BS: j.BS, Subframe: j.Index, Event: kind,
+		Render: r, Detail: detail, Arg: arg})
 }
 
 // Scheduler is a C-RAN subframe scheduler under simulation.

@@ -97,21 +97,21 @@ func (l *EventLog) WriteChromeTrace(w io.Writer) error {
 		case EvPhase:
 			if o := jobs[ev.Core]; o != nil {
 				closePhase(ev.Core, ev.Time)
-				emit(chromeEvent{Name: ev.Detail, Phase: "B", TS: ev.Time, PID: 1, TID: chromeTID(ev.Core)})
+				emit(chromeEvent{Name: ev.Text(), Phase: "B", TS: ev.Time, PID: 1, TID: chromeTID(ev.Core)})
 				o.phase = true
 			}
 		case EvDrop:
 			if jobs[ev.Core] != nil {
 				closeJob(ev.Core, ev.Time, "drop")
 			}
-			instant(ev, "drop "+jobName(ev), map[string]string{"at": ev.Detail})
+			instant(ev, "drop "+jobName(ev), map[string]string{"at": ev.Text()})
 		case EvFinish:
-			closeJob(ev.Core, ev.Time, ev.Detail)
+			closeJob(ev.Core, ev.Time, ev.Text())
 		case EvMigPlan:
 			name := "batch " + jobName(ev)
 			batches[ev.Core] = name
 			emit(chromeEvent{Name: name, Phase: "B", TS: ev.Time, PID: 1, TID: chromeTID(ev.Core),
-				Args: map[string]string{"what": ev.Detail}})
+				Args: map[string]string{"what": ev.Text()}})
 		case EvMigComplete, EvMigPreempt, EvMigAbandon:
 			if name, ok := batches[ev.Core]; ok {
 				emit(chromeEvent{Name: name, Phase: "E", TS: ev.Time, PID: 1, TID: chromeTID(ev.Core),
@@ -122,8 +122,8 @@ func (l *EventLog) WriteChromeTrace(w io.Writer) error {
 			}
 		case EvMigConsume, EvMigWait, EvMigRecompute:
 			var args map[string]string
-			if ev.Detail != "" {
-				args = map[string]string{"detail": ev.Detail}
+			if d := ev.Text(); d != "" {
+				args = map[string]string{"detail": d}
 			}
 			instant(ev, ev.Event.String()+" "+jobName(ev), args)
 		}

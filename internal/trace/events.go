@@ -13,6 +13,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
+	"strings"
 	"sync"
 )
 
@@ -48,7 +50,7 @@ const (
 	// recomputing; Detail: wait time in µs).
 	EvMigWait
 	// EvMigRecompute: the owner recomputed unfinished subtasks locally
-	// (Detail: subtask count and recompute time).
+	// (Detail: "n=… preempted" or "n=… slow").
 	EvMigRecompute
 	// EvMigAbandon: the owner dropped its job and released the batch.
 	EvMigAbandon
@@ -99,17 +101,61 @@ func (k *Kind) UnmarshalText(b []byte) error {
 	return fmt.Errorf("trace: unknown event kind %q", s)
 }
 
+// Render says how Event.Text builds an event's detail from Detail and Arg.
+type Render uint8
+
+const (
+	// RenderLiteral: the detail is Detail itself.
+	RenderLiteral Render = iota
+	// RenderInt: Arg as an integer, spliced in after Detail's first '='
+	// ("fft n=" and 3 render "fft n=3", "n= slow" and 2 render "n=2 slow").
+	RenderInt
+	// RenderG3: Arg to three significant digits ('g' format), spliced in
+	// like RenderInt, so "us" and 45.2 render "45.2us".
+	RenderG3
+)
+
 // Event is one traced scheduler decision. Time is absolute simulation
 // microseconds; Core is the core the event concerns (-1 when none applies);
 // BS/Subframe identify the job the event belongs to. For migration events
 // the job is the batch's *owner* while Core is the *host* executing it.
+//
+// A detail that embeds a number is emitted as a constant Detail plus Arg
+// and a Render code, so emitting builds no string; Text renders the schema
+// string where one is read, and the JSON form carries only that string.
 type Event struct {
 	Time     float64 `json:"t"`
 	Core     int     `json:"core"`
 	BS       int     `json:"bs"`
 	Subframe int     `json:"sf"`
 	Event    Kind    `json:"ev"`
+	Render   Render  `json:"-"`
 	Detail   string  `json:"detail,omitempty"`
+	Arg      float64 `json:"-"`
+}
+
+// Text returns the event's detail as the schema spells it.
+func (e Event) Text() string {
+	if e.Render == RenderLiteral {
+		return e.Detail
+	}
+	i := strings.IndexByte(e.Detail, '=') + 1
+	var buf [32]byte
+	b := append(buf[:0], e.Detail[:i]...)
+	if e.Render == RenderG3 {
+		b = strconv.AppendFloat(b, e.Arg, 'g', 3, 64)
+	} else {
+		b = strconv.AppendInt(b, int64(e.Arg), 10)
+	}
+	return string(append(b, e.Detail[i:]...))
+}
+
+// MarshalJSON writes the event with its detail rendered, so a numeric event
+// and its literal twin serialize to the same bytes.
+func (e Event) MarshalJSON() ([]byte, error) {
+	type plain Event
+	e.Detail = e.Text()
+	return json.Marshal(plain(e))
 }
 
 // Tracer is an event sink a simulation run emits into. Implementations must
@@ -118,8 +164,6 @@ type Event struct {
 // disables tracing entirely: emit sites guard with a single nil check, so a
 // disabled run pays no allocation or call overhead.
 type Tracer interface {
-	// Enabled reports whether events should be constructed at all.
-	Enabled() bool
 	// Emit records one event.
 	Emit(e Event)
 }
@@ -134,11 +178,15 @@ type Ring struct {
 	dropped int64
 }
 
-// NewRing creates a ring sink. capacity ≤ 0 means unbounded.
-func NewRing(capacity int) *Ring { return &Ring{cap: capacity} }
-
-// Enabled implements Tracer.
-func (r *Ring) Enabled() bool { return true }
+// NewRing creates a ring sink. capacity ≤ 0 means unbounded; a bounded
+// ring allocates its whole buffer here, once.
+func NewRing(capacity int) *Ring {
+	r := &Ring{cap: capacity}
+	if capacity > 0 {
+		r.buf = make([]Event, 0, capacity)
+	}
+	return r
+}
 
 // Emit implements Tracer, overwriting the oldest event when full.
 func (r *Ring) Emit(e Event) {
@@ -147,7 +195,10 @@ func (r *Ring) Emit(e Event) {
 		return
 	}
 	r.buf[r.head] = e
-	r.head = (r.head + 1) % r.cap
+	r.head++
+	if r.head == r.cap {
+		r.head = 0
+	}
 	r.dropped++
 }
 
@@ -186,13 +237,6 @@ type locked struct {
 // wrap their sink.
 func Locked(t Tracer) Tracer { return &locked{t: t} }
 
-// Enabled implements Tracer.
-func (l *locked) Enabled() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.t.Enabled()
-}
-
 // Emit implements Tracer.
 func (l *locked) Emit(e Event) {
 	l.mu.Lock()
@@ -202,9 +246,9 @@ func (l *locked) Emit(e Event) {
 
 type tee struct{ sinks []Tracer }
 
-// Tee fans each event out to every sink, in order. It is Enabled when any
-// sink is, and sinks that report disabled are skipped on Emit. Nil sinks are
-// dropped; a tee of zero or one live sinks collapses to the obvious thing.
+// Tee fans each event out to every sink, in order. Nil sinks are dropped;
+// a tee of no live sinks is nil, so emit sites still skip building events,
+// and a tee of one is that sink.
 // Nested tees are spliced flat, so composing an existing tee with one more
 // sink (arming a flight recorder over a run's ring+accountant pair) costs a
 // single dispatch per sink per event, not a dispatch per nesting level.
@@ -221,28 +265,19 @@ func Tee(sinks ...Tracer) Tracer {
 			live = append(live, s)
 		}
 	}
-	if len(live) == 1 {
+	switch len(live) {
+	case 0:
+		return nil
+	case 1:
 		return live[0]
 	}
 	return &tee{sinks: live}
 }
 
-// Enabled implements Tracer.
-func (t *tee) Enabled() bool {
-	for _, s := range t.sinks {
-		if s.Enabled() {
-			return true
-		}
-	}
-	return false
-}
-
 // Emit implements Tracer.
 func (t *tee) Emit(e Event) {
 	for _, s := range t.sinks {
-		if s.Enabled() {
-			s.Emit(e)
-		}
+		s.Emit(e)
 	}
 }
 
