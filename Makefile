@@ -47,18 +47,20 @@ no-fma:
 		echo "fused multiply-add in:"; echo "$$out"; exit 1; \
 	fi
 
-# FUZZ_KERNELS lists the AVX2-vs-scalar differential fuzz targets as
-# package:target:executions.
+# FUZZ_KERNELS lists the fuzz targets make ci runs beyond their seed
+# corpora, as package:target:executions: the AVX2-vs-scalar differential
+# targets of the assembly kernels and the event engine's firing order.
 FUZZ_KERNELS = \
 	./internal/turbo:FuzzKernelsMatchScalar:5000 \
 	./internal/fft:FuzzForwardKernelMatchesScalar:50000 \
 	./internal/modulation:FuzzDemapKernelMatchesScalar:50000 \
-	./internal/modulation:FuzzQuantizeKernelMatchesScalar:200000
+	./internal/modulation:FuzzQuantizeKernelMatchesScalar:200000 \
+	./internal/platform:FuzzFiringOrder:10000
 
-# fuzz-kernels fuzzes every assembly kernel against its scalar code, beyond
-# the seed corpora plain `go test` runs. Each target runs for a fixed
-# execution count rather than a fixed time, so a slow host takes longer
-# instead of failing; minimization is capped so a new input cannot stall it.
+# fuzz-kernels fuzzes every FUZZ_KERNELS target beyond the seed corpora
+# plain `go test` runs. Each target runs for a fixed execution count rather
+# than a fixed time, so a slow host takes longer instead of failing;
+# minimization is capped so a new input cannot stall it.
 fuzz-kernels:
 	@set -e; for spec in $(FUZZ_KERNELS); do \
 		pkg=$${spec%%:*}; rest=$${spec#*:}; target=$${rest%%:*}; n=$${rest#*:}; \

@@ -2,8 +2,10 @@ package harness
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"rtopex/internal/flight"
 	"rtopex/internal/lte"
@@ -112,16 +114,21 @@ func TestTracedRunDeterministicExports(t *testing.T) {
 }
 
 // TestObservedRunAllocationCeiling holds a fully observed run — event ring,
-// accountant, registry and flight recorder — near the bare run's one
-// allocation per subframe: building an event costs a store, not a string.
+// accountant, registry and flight recorder — near the bare run's zero
+// allocations per subframe: building an event costs a store, not a string,
+// and arrivals enter the engine without a closure per job.
 func TestObservedRunAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
 	}
-	const subframes, ceiling = 1000, 1.5
+	const subframes, ceiling = 1000, 0.1
 	w := jitteryWorkload(t, subframes, 1)
 	reg := obs.NewRegistry()
-	rec := flight.New(flight.Config{Registry: reg})
+	// A frozen rate-limiter clock spends the capture burst on the first
+	// runs and refills nothing after, so how fast the host runs cannot put
+	// a dossier capture (a registry snapshot) inside the measured runs.
+	frozen := time.Now()
+	rec := flight.New(flight.Config{Registry: reg, Now: func() time.Time { return frozen }})
 	defer rec.Close()
 	run := func() {
 		if _, err := TracedRunObserved(w, sched.NewRTOPEX(2), 8, 4096, reg, rec); err != nil {
@@ -134,6 +141,37 @@ func TestObservedRunAllocationCeiling(t *testing.T) {
 		t.Fatalf("%.2f allocations per subframe, ceiling %v", perSubframe, ceiling)
 	}
 	t.Logf("%.2f allocations per subframe", perSubframe)
+}
+
+// TestEngineStatsPinned holds each scheduler's engine counters on a fixed
+// workload to the values captured before arrivals entered the engine as one
+// pre-sorted lane: an arrival schedule that skips the hook, or an executor
+// that schedules one event more or less per job, changes them while every
+// digest of the run's outcome stays the same.
+func TestEngineStatsPinned(t *testing.T) {
+	w := jitteryWorkload(t, 1000, 5)
+	for _, c := range []struct {
+		mk   func() sched.Scheduler
+		want EngineStats
+	}{
+		{func() sched.Scheduler { return sched.NewRTOPEX(2) }, EngineStats{33104, 33104, 1.0005200680573401e+06}},
+		{func() sched.Scheduler { return sched.NewPartitioned(2) }, EngineStats{8000, 8000, 1.0007746302472348e+06}},
+		{func() sched.Scheduler { return sched.NewGlobal() }, EngineStats{8000, 8000, 1.000810961972856e+06}},
+	} {
+		var got EngineStats
+		s := c.mk()
+		if _, err := sched.RunConfigured(w, s, sched.RunConfig{Cores: 8, EngineHook: &got}); err != nil {
+			t.Fatal(err)
+		}
+		// Task times pass through libm, whose last-ulp rounding differs by
+		// architecture; the capture is from amd64.
+		if runtime.GOARCH == "amd64" && got != c.want {
+			t.Errorf("%s: engine stats %+v, captured %+v", s.Name(), got, c.want)
+		}
+		if got.Scheduled != got.Executed {
+			t.Errorf("%s: %d events scheduled, %d executed", s.Name(), got.Scheduled, got.Executed)
+		}
+	}
 }
 
 // TestEventLogReadBackIsByteIdentical: a full traced RT-OPEX run's event

@@ -79,6 +79,21 @@ func floorDiv(a, b int) int {
 func (h *Histogram) Observe(v float64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.observe(v)
+}
+
+// ObserveAll records every sample of xs, in order, under one lock: the
+// histogram ends exactly as if Observe had been called on each.
+func (h *Histogram) ObserveAll(xs []float64) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, v := range xs {
+		h.observe(v)
+	}
+}
+
+// observe records v; the caller holds h.mu.
+func (h *Histogram) observe(v float64) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		h.nonFinite++
 		return

@@ -142,6 +142,30 @@ func TestHistogramEdgeCases(t *testing.T) {
 	}
 }
 
+// TestObserveAllMatchesObserve: one ObserveAll over a series leaves the
+// histogram identical to per-sample Observe calls, non-finite samples,
+// zeros and negatives included.
+func TestObserveAllMatchesObserve(t *testing.T) {
+	xs := []float64{3, 0, -2.5, math.NaN(), math.Inf(1), 1e-9, math.Inf(-1), -0.0, 7e6, -1e4, 0.75}
+	var g lcg = 11
+	for i := 0; i < 500; i++ {
+		xs = append(xs, (g.next()-0.3)*1e4)
+	}
+	each, all := NewHistogram(), NewHistogram()
+	each.Observe(1) // a series can land on a histogram that already holds samples
+	all.Observe(1)
+	for _, x := range xs {
+		each.Observe(x)
+	}
+	all.ObserveAll(xs)
+	if ev, av := each.Value(), all.Value(); !reflect.DeepEqual(ev, av) {
+		t.Fatalf("ObserveAll gave %+v, per-sample Observe %+v", av, ev)
+	}
+	if v := all.Value(); v.NonFinite != 3 || v.Zero != 2 || len(v.Neg) == 0 {
+		t.Fatalf("the series does not exercise every branch: %+v", v)
+	}
+}
+
 func TestHistogramPowerOfTwoBoundary(t *testing.T) {
 	// Exact powers of two must open their own octave (index M·e), and values
 	// just below must land in the previous octave's last subbucket.

@@ -16,7 +16,7 @@ package obs
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -189,26 +189,38 @@ func (r *Registry) getSeries(name string, k kind, labels []Label) *series {
 	return s
 }
 
+// compareLabels orders labels by key, ties by value.
+func compareLabels(a, b Label) int {
+	if c := strings.Compare(a.Key, b.Key); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Value, b.Value)
+}
+
 // sortedLabels returns a copy of labels sorted by key (ties by value).
 func sortedLabels(labels []Label) []Label {
 	out := append([]Label(nil), labels...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Key != out[j].Key {
-			return out[i].Key < out[j].Key
-		}
-		return out[i].Value < out[j].Value
-	})
+	slices.SortFunc(out, compareLabels)
 	return out
 }
 
 // canonicalLabels renders labels as the canonical `k="v",…` string (sorted
-// by key), the series identity within a family.
+// by key), the series identity within a family. Labels that arrive sorted,
+// as a single label always does, render in one allocation.
 func canonicalLabels(labels []Label) string {
 	if len(labels) == 0 {
 		return ""
 	}
-	ls := sortedLabels(labels)
+	ls := labels
+	if !slices.IsSortedFunc(ls, compareLabels) {
+		ls = sortedLabels(labels)
+	}
+	n := 0
+	for _, l := range ls {
+		n += len(l.Key) + len(l.Value) + len(`="",`)
+	}
 	var b strings.Builder
+	b.Grow(n)
 	for i, l := range ls {
 		if i > 0 {
 			b.WriteByte(',')

@@ -1,7 +1,9 @@
 // Package platform provides the deterministic discrete-event engine the
 // C-RAN scheduler simulations run on. Time is a float64 microsecond clock;
 // events fire in nondecreasing time order with FIFO tie-breaking, so a run
-// is exactly reproducible from its inputs.
+// is exactly reproducible from its inputs. A run's arrival schedule enters
+// as one pre-sorted lane (AtSorted); everything the run schedules while it
+// executes goes through At.
 //
 // The engine deliberately has no concept of goroutines or wall-clock time:
 // scheduler experiments need tens of thousands of 1 ms subframes with
@@ -17,22 +19,28 @@ import (
 
 // Engine is a single-threaded discrete-event simulator.
 //
-// Its queue has two lanes. Events scheduled before the engine first steps —
-// a run's whole arrival schedule, tens of thousands of entries — collect in
-// pre, which the first step sorts once and the run then consumes by index.
-// Events scheduled from then on go to pq, a binary heap that holds only
-// the handful in flight, so a push or pop costs a couple of levels rather
-// than log₂ of the arrival count. Every pre event has a lower seq than any
-// pq event, so taking the earlier head of the two lanes, pre first on equal
-// times, is exactly the (at, seq) order of a single queue.
+// Its queue has three lanes, and every event carries the sequence number of
+// its scheduling call. lane is the pre-sorted lane AtSorted installs — a
+// run's whole arrival schedule, tens of thousands of entries — read by index
+// with one fire func for all of them. pre collects events At schedules
+// before the engine first steps; the first step sorts it once and the run
+// then consumes it by index. Events At schedules from then on go to pq, a
+// binary heap that holds only the handful in flight, so a push or pop costs
+// a couple of levels rather than log₂ of the arrival count. Each lane is in
+// (at, seq) order, so firing the earliest of the three heads under that
+// order is exactly the order of a single queue.
 type Engine struct {
-	now     float64
-	seq     int64
-	started bool
-	pre     []event // sorted by (at, seq) once started; pre[:preHead] fired
-	preHead int
-	pq      []event // binary min-heap under event.before
-	hook    Hook
+	now      float64
+	seq      int64
+	started  bool
+	pre      []event // sorted by (at, seq) once started; pre[:preHead] fired
+	preHead  int
+	lane     []float64 // entry i fires laneFire(i) with seq laneSeq+i
+	laneHead int       // lane[:laneHead] fired
+	laneSeq  int64     // seq of the lane's first entry
+	laneFire func(i int)
+	pq       []event // binary min-heap under event.before
+	hook     Hook
 }
 
 // Hook observes engine activity for tracing and diagnostics: OnAt fires
@@ -100,8 +108,39 @@ func (e *Engine) At(t float64, fn func()) {
 	e.pq = h
 }
 
+// AtSorted schedules fire(i) at times[i] for every entry, exactly as if At
+// had been called for entries 0, 1, … in turn now: each entry counts as one
+// scheduled event (the hook sees one OnAt per entry) and takes the next
+// sequence number. times must be nondecreasing and not in the past; a NaN,
+// past or out-of-order time panics. The engine reads times by index until
+// its last entry has fired and neither copies, sorts nor modifies it, so a
+// schedule of any length enters without an allocation. One lane can be
+// pending at a time: installing a second before the first has drained
+// panics.
+func (e *Engine) AtSorted(times []float64, fire func(i int)) {
+	if e.laneHead < len(e.lane) {
+		panic("platform: AtSorted while a lane is pending")
+	}
+	prev := e.now
+	for _, t := range times {
+		if !(t >= prev) {
+			panic("platform: lane time in the past, out of order or NaN")
+		}
+		prev = t
+	}
+	if e.hook != nil {
+		for _, t := range times {
+			e.hook.OnAt(t, e.now)
+		}
+	}
+	e.lane, e.laneHead, e.laneSeq, e.laneFire = times, 0, e.seq+1, fire
+	e.seq += int64(len(times))
+}
+
 // Pending reports the number of queued events.
-func (e *Engine) Pending() int { return len(e.pre) - e.preHead + len(e.pq) }
+func (e *Engine) Pending() int {
+	return len(e.pre) - e.preHead + len(e.lane) - e.laneHead + len(e.pq)
+}
 
 // start closes the pre-start lane: pre was appended in seq order, so a
 // stable sort by time leaves it in (at, seq) order.
@@ -110,24 +149,48 @@ func (e *Engine) start() {
 	slices.SortStableFunc(e.pre, func(a, b event) int { return cmp.Compare(a.at, b.at) })
 }
 
-// nextInPre reports whether the next event is the pre lane's head (else the
-// heap's root). At least one lane must be non-empty.
-func (e *Engine) nextInPre() bool {
-	return e.preHead < len(e.pre) && (len(e.pq) == 0 || e.pre[e.preHead].at <= e.pq[0].at)
+// The lanes next can pick.
+const (
+	fromNone = iota
+	fromPre
+	fromLane
+	fromHeap
+)
+
+// next reports which lane holds the next event under (at, seq).
+func (e *Engine) next() int {
+	src, head := fromNone, event{}
+	if e.preHead < len(e.pre) {
+		src, head = fromPre, e.pre[e.preHead]
+	}
+	if e.laneHead < len(e.lane) {
+		// The lane's seqs are one contiguous block, so against another
+		// lane's event its head compares as its first entry does.
+		ev := event{at: e.lane[e.laneHead], seq: e.laneSeq}
+		if src == fromNone || ev.before(head) {
+			src, head = fromLane, ev
+		}
+	}
+	if len(e.pq) > 0 && (src == fromNone || e.pq[0].before(head)) {
+		src = fromHeap
+	}
+	return src
 }
 
-// pop removes and returns the next event. Vacated slots are zeroed so a
-// fired closure does not stay reachable from the queue.
-func (e *Engine) pop() event {
-	if e.nextInPre() {
-		ev := e.pre[e.preHead]
-		e.pre[e.preHead] = event{}
-		e.preHead++
-		if e.preHead == len(e.pre) {
-			e.pre, e.preHead = nil, 0
-		}
-		return ev
+// popPre removes and returns the pre lane's head. Vacated slots are zeroed
+// so a fired closure does not stay reachable from the queue.
+func (e *Engine) popPre() event {
+	ev := e.pre[e.preHead]
+	e.pre[e.preHead] = event{}
+	e.preHead++
+	if e.preHead == len(e.pre) {
+		e.pre, e.preHead = nil, 0
 	}
+	return ev
+}
+
+// popHeap removes and returns the heap's root.
+func (e *Engine) popHeap() event {
 	h := e.pq
 	top := h[0]
 	n := len(h) - 1
@@ -162,12 +225,27 @@ func (e *Engine) Step() bool {
 	if !e.started {
 		e.start()
 	}
-	if e.Pending() == 0 {
+	switch e.next() {
+	case fromNone:
 		return false
+	case fromLane:
+		i, fire := e.laneHead, e.laneFire
+		e.now = e.lane[i]
+		e.laneHead++
+		if e.laneHead == len(e.lane) {
+			// Drained: release the caller's slice and func.
+			e.lane, e.laneHead, e.laneFire = nil, 0, nil
+		}
+		fire(i)
+	case fromPre:
+		ev := e.popPre()
+		e.now = ev.at
+		ev.do()
+	default:
+		ev := e.popHeap()
+		e.now = ev.at
+		ev.do()
 	}
-	ev := e.pop()
-	e.now = ev.at
-	ev.do()
 	if e.hook != nil {
 		e.hook.OnStep(e.now)
 	}

@@ -136,38 +136,70 @@ func TestNaNTimePanics(t *testing.T) {
 	}
 }
 
-// TestFiringOrderMatchesReferenceSort is the order contract as a property:
-// whatever mix of pre-start scheduling, scheduling from inside firing
-// events and scheduling between single Steps produced the events, they fire in the order of a plain sort by (time, scheduling
-// sequence). Times are small integers so ties are the common case, and
-// zero delays put new events at the time being fired.
-func TestFiringOrderMatchesReferenceSort(t *testing.T) {
-	type rec struct {
-		at float64
-		id int
-	}
+// FuzzFiringOrder is the order contract as a property: whatever mix of
+// pre-sorted lanes, pre-start scheduling, scheduling from inside firing
+// events and scheduling between single Steps produced the events, they fire
+// in the order of a plain sort by (time, scheduling sequence). Times are
+// small integers and lane times mostly repeat, so ties are the common case,
+// and zero delays put new events at the time being fired. The seed corpus
+// runs under plain go test.
+func FuzzFiringOrder(f *testing.F) {
 	for seed := uint64(1); seed <= 50; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		type rec struct {
+			at float64
+			id int
+		}
 		r := stats.NewRNG(seed)
 		e := New()
 		var all []rec
 		var fired []int
 		var schedule func(at float64, depth int)
+		fire := func(id int, at float64, depth int) {
+			if e.Now() != at {
+				t.Fatalf("seed %d: event for %v fired at %v", seed, at, e.Now())
+			}
+			fired = append(fired, id)
+			if depth < 4 {
+				for k := r.Intn(3); k > 0; k-- {
+					schedule(e.Now()+float64(r.Intn(4)), depth+1)
+				}
+			}
+		}
 		schedule = func(at float64, depth int) {
 			id := len(all)
 			all = append(all, rec{at, id})
-			e.At(at, func() {
-				if e.Now() != at {
-					t.Fatalf("seed %d: event for %v fired at %v", seed, at, e.Now())
-				}
-				fired = append(fired, id)
-				if depth < 4 {
-					for k := r.Intn(3); k > 0; k-- {
-						schedule(e.Now()+float64(r.Intn(4)), depth+1)
-					}
-				}
+			e.At(at, func() { fire(id, at, depth) })
+		}
+		// lane installs a lane of up to 40 entries unless one is pending;
+		// about half of its entries tie with their predecessor.
+		laneLeft := 0
+		lane := func() {
+			if laneLeft > 0 {
+				return
+			}
+			n := r.Intn(41)
+			times, ids := make([]float64, n), make([]int, n)
+			at := e.Now() + float64(r.Intn(3))
+			for i := range times {
+				at += float64(r.Intn(2))
+				times[i], ids[i] = at, len(all)
+				all = append(all, rec{at, ids[i]})
+			}
+			laneLeft = n
+			e.AtSorted(times, func(i int) {
+				laneLeft--
+				fire(ids[i], times[i], 0)
 			})
 		}
-		for i := 20 + r.Intn(60); i > 0; i-- {
+
+		for i := 10 + r.Intn(30); i > 0; i-- {
+			schedule(float64(r.Intn(25)), 0)
+		}
+		lane()
+		for i := 10 + r.Intn(30); i > 0; i-- {
 			schedule(float64(r.Intn(25)), 0)
 		}
 		for round := 0; round < 6; round++ {
@@ -175,6 +207,9 @@ func TestFiringOrderMatchesReferenceSort(t *testing.T) {
 				for k := r.Intn(8); k > 0; k-- {
 					e.Step()
 				}
+			}
+			if r.Intn(2) == 1 {
+				lane()
 			}
 			for k := r.Intn(10); k > 0; k-- {
 				schedule(e.Now()+float64(r.Intn(12)), 0)
@@ -199,6 +234,61 @@ func TestFiringOrderMatchesReferenceSort(t *testing.T) {
 				t.Fatalf("seed %d: firing %d was event %d, reference sort says %d", seed, i, fired[i], all[i].id)
 			}
 		}
+	})
+}
+
+// TestAtSortedRejectsBadLanes: a lane time that is NaN, out of order or in
+// the past panics as At does, and so does a second lane while the first is
+// pending; a rejected lane leaves nothing queued.
+func TestAtSortedRejectsBadLanes(t *testing.T) {
+	fire := func(int) {}
+	e := New()
+	expectPanic(t, "NaN lane time", func() { e.AtSorted([]float64{1, math.NaN(), 3}, fire) })
+	expectPanic(t, "unsorted lane", func() { e.AtSorted([]float64{1, 3, 2}, fire) })
+	if e.Pending() != 0 {
+		t.Fatalf("%d events queued by rejected lanes", e.Pending())
+	}
+	e.AtSorted([]float64{5, 5, 9}, fire)
+	expectPanic(t, "second pending lane", func() { e.AtSorted([]float64{6}, fire) })
+	e.Run()
+	expectPanic(t, "lane in the past", func() { e.AtSorted([]float64{8}, fire) })
+	e.AtSorted([]float64{9, 10}, fire) // the first lane has drained
+	if e.Pending() != 2 {
+		t.Fatalf("Pending %d after a second lane, want 2", e.Pending())
+	}
+}
+
+// laneHook counts engine activity as harness.EngineStats does.
+type laneHook struct{ scheduled, executed int }
+
+func (h *laneHook) OnAt(at, now float64) { h.scheduled++ }
+func (h *laneHook) OnStep(now float64)   { h.executed++ }
+
+// TestAtSortedCountsAndAllocates: the hook sees one OnAt per lane entry
+// and one OnStep per firing, and installing and running a lane allocates
+// nothing.
+func TestAtSortedCountsAndAllocates(t *testing.T) {
+	times := []float64{0, 0, 1, 4, 4, 4, 7}
+	h := &laneHook{}
+	e := New()
+	e.SetHook(h)
+	e.At(4, func() {})
+	e.AtSorted(times, func(int) {})
+	if e.Pending() != 8 || h.scheduled != 8 {
+		t.Fatalf("Pending %d, OnAt %d, want 8 and 8", e.Pending(), h.scheduled)
+	}
+	e.Run()
+	if h.executed != 8 {
+		t.Fatalf("OnStep %d, want 8", h.executed)
+	}
+	fire := func(int) {}
+	allocs := testing.AllocsPerRun(100, func() {
+		e := New()
+		e.AtSorted(times, fire)
+		e.Run()
+	})
+	if allocs > 1 { // the Engine itself
+		t.Fatalf("%v allocations per lane run, want at most the engine's one", allocs)
 	}
 }
 

@@ -6,6 +6,34 @@ import (
 	"rtopex/internal/trace"
 )
 
+// serialCore is a core that serialExec runs jobs on. A core runs one job at
+// a time, so the running job's outcome lives here, and the continuation
+// that frees the core is bound once per core, when the scheduler attaches,
+// rather than allocated per job.
+type serialCore struct {
+	id   int
+	busy bool
+	job  *Job
+	out  Outcome
+	proc float64 // realized processing time; -1 for a drop
+	// free fires on the engine when the core becomes free: it calls release
+	// and then hands the core to the scheduler's next job.
+	free func()
+}
+
+// release records the finished job's outcome and marks the core idle.
+func (c *serialCore) release(env *Env) {
+	env.M.Record(c.job, c.out, c.proc)
+	env.M.RecordGap(c.job, c.out, env.Eng.Now())
+	c.busy = false
+}
+
+// freeAt schedules the core's free continuation at t with the job's outcome.
+func (c *serialCore) freeAt(env *Env, t float64, out Outcome, proc float64) {
+	c.out, c.proc = out, proc
+	env.Eng.At(t, c.free)
+}
+
 // serialExec runs one job's task sequence (FFT → demod → L decode
 // iterations) on a single core, with the slack-based deadline enforcement
 // of §4.1: before each task (and before each decode iteration — the finest
@@ -22,13 +50,14 @@ import (
 // still running at its deadline is cut off there and the core freed at the
 // deadline; otherwise the job runs to natural completion and is late.
 //
-// done fires on the engine at the moment the core becomes free.
-func serialExec(env *Env, core int, j *Job, extra float64, terminateAtDeadline bool, done func(Outcome, float64)) {
-	eng := env.Eng
-	start := eng.Now()
+// The core is busy from now until its free continuation fires, at the
+// moment the core becomes free.
+func serialExec(env *Env, c *serialCore, j *Job, extra float64, terminateAtDeadline bool) {
+	c.busy, c.job = true, j
+	start := env.Eng.Now()
 	t := start + extra
 	if env.Trace != nil {
-		env.emit(core, j, trace.EvStart, "")
+		env.emit(c.id, j, trace.EvStart, "")
 	}
 
 	// Phase i's estimate is the FFT, the demod, then one decode iteration
@@ -51,13 +80,13 @@ func serialExec(env *Env, core int, j *Job, extra float64, terminateAtDeadline b
 				at = start
 			}
 			if env.Trace != nil {
-				env.emitAt(at, core, j, trace.EvDrop, serialPhaseName(i))
+				env.emitAt(at, c.id, j, trace.EvDrop, serialPhaseName(i))
 			}
-			eng.At(at, func() { done(OutcomeDropped, -1) })
+			c.freeAt(env, at, OutcomeDropped, -1)
 			return
 		}
 		if env.Trace != nil {
-			env.emitAt(t, core, j, trace.EvPhase, serialPhaseName(i))
+			env.emitAt(t, c.id, j, trace.EvPhase, serialPhaseName(i))
 		}
 		actual := est
 		if i == strike {
@@ -69,15 +98,14 @@ func serialExec(env *Env, core int, j *Job, extra float64, terminateAtDeadline b
 		t += actual
 		if terminateAtDeadline && t > j.Deadline {
 			if env.Trace != nil {
-				env.emitAt(j.Deadline, core, j, trace.EvFinish, outcomeDetail(OutcomeLate))
+				env.emitAt(j.Deadline, c.id, j, trace.EvFinish, outcomeDetail(OutcomeLate))
 			}
-			eng.At(j.Deadline, func() { done(OutcomeLate, j.Deadline-start) })
+			c.freeAt(env, j.Deadline, OutcomeLate, j.Deadline-start)
 			return
 		}
 	}
 
 	finish := t
-	proc := finish - start
 	out := OutcomeACK
 	switch {
 	case finish > j.Deadline:
@@ -86,9 +114,9 @@ func serialExec(env *Env, core int, j *Job, extra float64, terminateAtDeadline b
 		out = OutcomeDecodeFail
 	}
 	if env.Trace != nil {
-		env.emitAt(finish, core, j, trace.EvFinish, outcomeDetail(out))
+		env.emitAt(finish, c.id, j, trace.EvFinish, outcomeDetail(out))
 	}
-	eng.At(finish, func() { done(out, proc) })
+	c.freeAt(env, finish, out, finish-start)
 }
 
 // decodePhaseNames covers the iteration caps in use (the paper's Lm is 4);

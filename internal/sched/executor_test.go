@@ -14,17 +14,15 @@ func execJob(t *testing.T, j *Job, extra float64, terminate bool) (Outcome, floa
 	t.Helper()
 	eng := platform.New()
 	env := &Env{Eng: eng, M: NewMetrics("test", 1)}
-	var out Outcome
-	var proc float64
+	c := &serialCore{}
 	done := false
-	serialExec(env, 0, j, extra, terminate, func(o Outcome, p float64) {
-		out, proc, done = o, p, true
-	})
+	c.free = func() { done = true }
+	serialExec(env, c, j, extra, terminate)
 	eng.Run()
 	if !done {
 		t.Fatal("serialExec never completed")
 	}
-	return out, proc, eng.Now()
+	return c.out, c.proc, eng.Now()
 }
 
 func makeJob(tasks model.TaskTimes, l int, budget float64, jitter float64) *Job {

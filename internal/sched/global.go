@@ -41,8 +41,7 @@ type Global struct {
 }
 
 type gcore struct {
-	id     int
-	busy   bool
+	serialCore
 	lastBS int
 }
 
@@ -59,7 +58,12 @@ func (g *Global) Attach(env *Env) {
 	g.env = env
 	g.cores = make([]*gcore, env.Cores)
 	for i := range g.cores {
-		g.cores[i] = &gcore{id: i, lastBS: -1}
+		c := &gcore{serialCore: serialCore{id: i}, lastBS: -1}
+		c.free = func() {
+			c.release(env)
+			g.drain(c)
+		}
+		g.cores[i] = c
 	}
 }
 
@@ -101,14 +105,8 @@ func (g *Global) dispatch(c *gcore, j *Job) {
 	if g.Cache.Enabled && c.lastBS != j.BS {
 		extra += g.env.RNG.LogNormal(math.Log(g.Cache.MedianUS), g.Cache.Sigma)
 	}
-	c.busy = true
 	c.lastBS = j.BS
-	serialExec(g.env, c.id, j, extra, true, func(o Outcome, proc float64) {
-		g.env.M.Record(j, o, proc)
-		g.env.M.RecordGap(j, o, g.env.Eng.Now())
-		c.busy = false
-		g.drain(c)
-	})
+	serialExec(g.env, &c.serialCore, j, extra, true)
 }
 
 // drain hands the next feasible queued job to a freed core, dropping jobs

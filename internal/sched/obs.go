@@ -30,9 +30,9 @@ func PublishMetrics(reg *obs.Registry, m *Metrics) {
 	reg.SetHelp("rtopex_gap_us", "Unused budget (deadline − finish) per completed subframe.")
 	reg.SetHelp("rtopex_overrun_us", "Overshoot (finish − deadline) per late subframe.")
 	reg.SetHelp("rtopex_proc_us", "Realized processing duration per completed subframe.")
-	observeAll(reg.Histogram("rtopex_gap_us", l), m.Gaps)
-	observeAll(reg.Histogram("rtopex_overrun_us", l), m.Overruns)
-	observeAll(reg.Histogram("rtopex_proc_us", l), m.ProcTimes)
+	reg.Histogram("rtopex_gap_us", l).ObserveAll(m.Gaps)
+	reg.Histogram("rtopex_overrun_us", l).ObserveAll(m.Overruns)
+	reg.Histogram("rtopex_proc_us", l).ObserveAll(m.ProcTimes)
 
 	if m.MigrationBatches > 0 || m.FFTSubtasksMigrated > 0 || m.DecodeSubtasksMigrated > 0 {
 		reg.SetHelp("rtopex_migration_batches_total", "Migration batches planned onto idle hosts.")
@@ -43,11 +43,5 @@ func PublishMetrics(reg *obs.Registry, m *Metrics) {
 		reg.Counter("rtopex_decode_subtasks_migrated_total", l).Add(int64(m.DecodeSubtasksMigrated))
 		reg.Gauge("rtopex_fft_migrated_fraction", l).Set(m.MigratedFFTFraction())
 		reg.Gauge("rtopex_decode_migrated_fraction", l).Set(m.MigratedDecodeFraction())
-	}
-}
-
-func observeAll(h *obs.Histogram, xs []float64) {
-	for _, x := range xs {
-		h.Observe(x)
 	}
 }

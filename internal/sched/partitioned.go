@@ -17,8 +17,7 @@ type Partitioned struct {
 }
 
 type pcore struct {
-	id      int
-	busy    bool
+	serialCore
 	pending []*Job // overflow queue; only populated under pathological overrun
 }
 
@@ -38,7 +37,16 @@ func (p *Partitioned) Attach(env *Env) {
 	p.env = env
 	p.cores = make([]*pcore, env.Cores)
 	for i := range p.cores {
-		p.cores[i] = &pcore{id: i}
+		c := &pcore{serialCore: serialCore{id: i}}
+		c.free = func() {
+			c.release(env)
+			if len(c.pending) > 0 {
+				next := c.pending[0]
+				c.pending = c.pending[1:]
+				p.start(c, next)
+			}
+		}
+		p.cores[i] = c
 	}
 }
 
@@ -68,17 +76,7 @@ func (p *Partitioned) OnArrival(j *Job) {
 }
 
 func (p *Partitioned) start(c *pcore, j *Job) {
-	c.busy = true
-	serialExec(p.env, c.id, j, 0, false, func(o Outcome, proc float64) {
-		p.env.M.Record(j, o, proc)
-		p.env.M.RecordGap(j, o, p.env.Eng.Now())
-		c.busy = false
-		if len(c.pending) > 0 {
-			next := c.pending[0]
-			c.pending = c.pending[1:]
-			p.start(c, next)
-		}
-	})
+	serialExec(p.env, &c.serialCore, j, 0, false)
 }
 
 // Finalize implements Scheduler.

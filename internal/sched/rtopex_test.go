@@ -21,7 +21,7 @@ func (j jitteryTransport) Sample(r *stats.RNG) float64 {
 	return j.mean + (r.Float64()-0.5)*2*j.spread
 }
 
-func jitteryWorkload(t *testing.T, subframes int, seed uint64) *Workload {
+func jitteryWorkload(t testing.TB, subframes int, seed uint64) *Workload {
 	t.Helper()
 	w, err := BuildWorkload(WorkloadConfig{
 		Basestations: 4, Subframes: subframes, Antennas: 2, Bandwidth: lte.BW10MHz,

@@ -14,6 +14,7 @@ package sched
 
 import (
 	"fmt"
+	"sync"
 
 	"rtopex/internal/flight"
 	"rtopex/internal/lte"
@@ -140,10 +141,93 @@ func (c WorkloadConfig) antennasFor(bs int) int {
 
 // Workload is the fully materialized job set of one run: identical inputs
 // are handed to every scheduler under comparison, so differences in
-// outcomes are attributable to scheduling alone.
+// outcomes are attributable to scheduling alone. The first run fixes the
+// order in which the jobs arrive, so a job's Arrival must not change once
+// the workload has run.
 type Workload struct {
 	Cfg  WorkloadConfig
 	Jobs [][]Job // [bs][subframe]
+
+	arrivalOnce sync.Once
+	arrivals    []*Job    // every job, in the order its arrival fires
+	arrivalAt   []float64 // arrivals[i].Arrival
+}
+
+// arrivalLane returns the workload's jobs in the order their arrivals fire,
+// and their arrival times: the engine's order for arrivals scheduled one
+// job at a time in basestation-major order, which is a stable sort of that
+// concatenation by Arrival. The first run computes it and every later run,
+// concurrent or not, shares it.
+func (w *Workload) arrivalLane() ([]*Job, []float64) {
+	w.arrivalOnce.Do(func() {
+		w.arrivals = arrivalOrder(w.Jobs)
+		w.arrivalAt = make([]float64, len(w.arrivals))
+		for i, j := range w.arrivals {
+			w.arrivalAt[i] = j.Arrival
+		}
+	})
+	return w.arrivals, w.arrivalAt
+}
+
+// arrivalOrder stable-sorts the basestation-major concatenation of jobs by
+// Arrival as a natural merge sort: the concatenation splits into runs of
+// nondecreasing arrivals wherever an arrival decreases, and adjacent runs
+// merge pairwise, the left run first on ties, until one is left. Each
+// basestation's uplink jobs form one run, and with IncludeDownlink its
+// downlink jobs another, so a simulator workload costs a merge of a few
+// runs rather than a sort; a transport wide enough to reorder a
+// basestation's arrivals splits its run further, and the merge then does
+// the work of a sort.
+func arrivalOrder(jobs [][]Job) []*Job {
+	n := 0
+	for _, bs := range jobs {
+		n += len(bs)
+	}
+	src := make([]*Job, 0, n)
+	var ends []int // ends[k] is the end of run k in src
+	for bs := range jobs {
+		for j := range jobs[bs] {
+			job := &jobs[bs][j]
+			if k := len(src); k > 0 && job.Arrival < src[k-1].Arrival {
+				ends = append(ends, k)
+			}
+			src = append(src, job)
+		}
+	}
+	ends = append(ends, n)
+	dst := make([]*Job, n)
+	for len(ends) > 1 {
+		// Writing merged[k/2] never overtakes reading ends[k].
+		merged := ends[:0]
+		lo := 0
+		for k := 0; k < len(ends); k += 2 {
+			mid, hi := ends[k], ends[k]
+			if k+1 < len(ends) {
+				hi = ends[k+1]
+			}
+			mergeArrivals(dst[lo:hi], src[lo:mid], src[mid:hi])
+			merged = append(merged, hi)
+			lo = hi
+		}
+		ends = merged
+		src, dst = dst, src
+	}
+	return src
+}
+
+// mergeArrivals merges the arrival-sorted runs a and b into dst, taking
+// from a on ties so the merge is stable.
+func mergeArrivals(dst, a, b []*Job) {
+	i, j := 0, 0
+	for k := range dst {
+		if j == len(b) || i < len(a) && a[i].Arrival <= b[j].Arrival {
+			dst[k] = a[i]
+			i++
+		} else {
+			dst[k] = b[j]
+			j++
+		}
+	}
 }
 
 // BuildWorkload samples traces, iteration counts, jitter and transport
@@ -379,25 +463,18 @@ func RunConfigured(w *Workload, s Scheduler, rc RunConfig) (*Metrics, error) {
 		env.Trace = trace.Tee(rc.Tracer, tap)
 	}
 	s.Attach(env)
-	for bs := range w.Jobs {
-		for j := range w.Jobs[bs] {
-			job := &w.Jobs[bs][j]
-			if env.Trace == nil {
-				// Keep the untraced arrival closure minimal: this loop body
-				// allocates once per job and dominates run setup.
-				eng.At(job.Arrival, func() { s.OnArrival(job) })
-				continue
+	arrivals, at := w.arrivalLane()
+	eng.AtSorted(at, func(i int) {
+		job := arrivals[i]
+		if env.Trace != nil {
+			detail := ""
+			if job.Tx {
+				detail = "tx"
 			}
-			eng.At(job.Arrival, func() {
-				detail := ""
-				if job.Tx {
-					detail = "tx"
-				}
-				env.emit(-1, job, trace.EvArrive, detail)
-				s.OnArrival(job)
-			})
+			env.emit(-1, job, trace.EvArrive, detail)
 		}
-	}
+		s.OnArrival(job)
+	})
 	eng.Run()
 	s.Finalize()
 	if tap != nil {

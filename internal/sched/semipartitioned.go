@@ -26,10 +26,9 @@ type SemiPartitioned struct {
 }
 
 type spcore struct {
-	id      int
+	serialCore
 	bs      int
 	slot    int
-	busy    bool
 	pending []*Job
 }
 
@@ -49,7 +48,16 @@ func (s *SemiPartitioned) Attach(env *Env) {
 	s.env = env
 	s.cores = make([]*spcore, env.Cores)
 	for i := range s.cores {
-		s.cores[i] = &spcore{id: i, bs: i / s.CoresPerBS, slot: i % s.CoresPerBS}
+		c := &spcore{serialCore: serialCore{id: i}, bs: i / s.CoresPerBS, slot: i % s.CoresPerBS}
+		c.free = func() {
+			c.release(env)
+			if len(c.pending) > 0 {
+				next := c.pending[0]
+				c.pending = c.pending[1:]
+				s.OnArrival(next)
+			}
+		}
+		s.cores[i] = c
 	}
 }
 
@@ -132,17 +140,7 @@ func (s *SemiPartitioned) nextOwnArrival(k *spcore, now float64) float64 {
 }
 
 func (s *SemiPartitioned) start(c *spcore, j *Job, extra float64) {
-	c.busy = true
-	serialExec(s.env, c.id, j, extra, false, func(o Outcome, proc float64) {
-		s.env.M.Record(j, o, proc)
-		s.env.M.RecordGap(j, o, s.env.Eng.Now())
-		c.busy = false
-		if len(c.pending) > 0 {
-			next := c.pending[0]
-			c.pending = c.pending[1:]
-			s.OnArrival(next)
-		}
-	})
+	serialExec(s.env, &c.serialCore, j, extra, false)
 }
 
 // Finalize implements Scheduler.
