@@ -2,6 +2,7 @@ package rtopex
 
 import (
 	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -9,17 +10,19 @@ import (
 	"testing"
 )
 
-// TestCommandsStartAndPrintUsage builds every cmd/* binary and runs its
-// -h: each must print its usage and exit cleanly (a flag registered twice
-// panics at start-up), the daemons that share obs.DaemonFlags must list the
-// shared listen/auth/dossier/log flags with their own defaults, the
-// binaries that share obs.HistoryFlags must still list the history and SLO
-// flags with theirs (sweepd, which has no SLO, none), and livebench must
-// list -dilation at the ledger's 2 and no cross-subframe -pipeline-* flag.
+// TestCommandsStartAndPrintUsage builds every cmd/* and examples/* binary
+// and runs each command's -h: each must print its usage and exit cleanly (a
+// flag registered twice panics at start-up), the daemons that share
+// obs.DaemonFlags must list the shared listen/auth/dossier/log flags with
+// their own defaults, the binaries that share obs.HistoryFlags must still
+// list the history and SLO flags with theirs (sweepd, which has no SLO,
+// none), and livebench must list -dilation at the ledger's 2 and no
+// cross-subframe -pipeline-* flag. Every example then runs once and must
+// exit 0.
 func TestCommandsStartAndPrintUsage(t *testing.T) {
 	dir := t.TempDir()
-	if out, err := exec.Command("go", "build", "-o", dir+string(filepath.Separator), "./cmd/...").CombinedOutput(); err != nil {
-		t.Fatalf("go build ./cmd/...: %v\n%s", err, out)
+	if out, err := exec.Command("go", "build", "-o", dir+string(filepath.Separator), "./cmd/...", "./examples/...").CombinedOutput(); err != nil {
+		t.Fatalf("go build ./cmd/... ./examples/...: %v\n%s", err, out)
 	}
 	slo := []string{"slo", "slo-fast", "slo-slow", "slo-pending"}
 	daemon := []string{"addr-file", "auth-token", "dossier-dir", "quiet"}
@@ -74,7 +77,15 @@ func TestCommandsStartAndPrintUsage(t *testing.T) {
 			}
 		}
 	}
-	for _, args := range [][]string{{"tracegen", "-n", "10", "-stats"}, {"rtopex", "-list"}} {
+	runs := [][]string{{"tracegen", "-n", "10", "-stats"}, {"rtopex", "-list"}}
+	examples, err := os.ReadDir("examples")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range examples {
+		runs = append(runs, []string{e.Name()})
+	}
+	for _, args := range runs {
 		if out, err := exec.Command(filepath.Join(dir, args[0]), args[1:]...).CombinedOutput(); err != nil {
 			t.Errorf("%v: %v\n%s", args, err, out)
 		}

@@ -22,7 +22,7 @@ func init() {
 func table2(Options) (*Table, error) {
 	t := &Table{ID: "table2", Title: "Related scheduling approaches in C-RAN",
 		Columns: []string{"system", "migration", "compute_resources", "granularity", "implemented_as"}}
-	t.AddRow("PRAN", "planned", "dynamic", "subtask", "sched.PRAN")
+	t.AddRow("PRAN", "planned", "dynamic", "subtask", "—")
 	t.AddRow("CloudIQ", "no", "fixed", "task", "sched.Partitioned")
 	t.AddRow("WiBench", "no", "fixed", "subtask", "—")
 	t.AddRow("BigStation", "no", "fixed", "subtask", "sched.StaticParallel")
@@ -35,8 +35,8 @@ func table2(Options) (*Table, error) {
 // extParallel compares RT-OPEX against static subtask parallelism at equal
 // and at matched-resource core counts.
 func extParallel(o Options) (*Table, error) {
-	t := &Table{ID: "ext-parallel", Title: "RT-OPEX vs static parallelism and PRAN, miss rate vs RTT/2",
-		Columns: []string{"rtt2_us", "rt-opex(8c)", "static-2(8c)", "static-4(16c)", "pran(8c)", "partitioned(8c)"}}
+	t := &Table{ID: "ext-parallel", Title: "RT-OPEX vs static parallelism, miss rate vs RTT/2",
+		Columns: []string{"rtt2_us", "rt-opex(8c)", "static-2(8c)", "static-4(16c)", "partitioned(8c)"}}
 	for _, rtt2 := range []float64{450, 550, 650} {
 		w, err := paperWorkload(o, rtt2, -1, 20)
 		if err != nil {
@@ -54,15 +54,11 @@ func extParallel(o Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		pr, err := sched.Run(w, sched.NewPRAN(), 8)
-		if err != nil {
-			return nil, err
-		}
 		p, err := sched.Run(w, sched.NewPartitioned(2), 8)
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(rtt2, r.MissRate(), s2.MissRate(), s4.MissRate(), pr.MissRate(), p.MissRate())
+		t.AddRow(rtt2, r.MissRate(), s2.MissRate(), s4.MissRate(), p.MissRate())
 	}
 	t.Notes = append(t.Notes,
 		"static parallelism is strong when the chain is restructured for it (the paper's Fig. 4 shows the split itself is cheap), but its fan-out is fixed at design time: static-4 needs 16 cores for the same 4 basestations, and any loss of cores breaks the schedule outright (§5.B)",

@@ -36,16 +36,30 @@ func TestLookupUnknown(t *testing.T) {
 	}
 }
 
+// TestAllExperimentsRunQuick runs every registered experiment's quick
+// table, then checks the miss-column naming against the columns produced:
+// every hint names at least one column (a scheduler column may carry a
+// "(<n>c)" core count), and each of ext-parallel's scheduler columns is a
+// miss column, so its miss rates reach rtopex_experiment_miss_rate.
 func TestAllExperimentsRunQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow in -short mode")
 	}
+	var columns []string
 	for _, id := range IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			tb, err := Run(id, quick)
 			if err != nil {
 				t.Fatal(err)
+			}
+			columns = append(columns, tb.Columns...)
+			if id == "ext-parallel" {
+				for _, c := range tb.Columns[1:] {
+					if !isMissColumn(c) {
+						t.Errorf("column %q is not a miss column", c)
+					}
+				}
 			}
 			if len(tb.Rows) == 0 {
 				t.Fatal("no rows produced")
@@ -62,6 +76,15 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 				t.Fatal("rendering missing id")
 			}
 		})
+	}
+	for hint := range missColumnHints {
+		named := false
+		for _, c := range columns {
+			named = named || c == hint || strings.HasPrefix(c, hint+"(")
+		}
+		if !named {
+			t.Errorf("miss-column hint %q names no column of any experiment", hint)
+		}
 	}
 }
 
@@ -242,7 +265,10 @@ func TestExtDuplexOrderingPreserved(t *testing.T) {
 	}
 }
 
-func TestAblationTaskMigrationEquality(t *testing.T) {
+// TestAblationTaskMigrationRTOPEXWins checks the claim the table makes:
+// subtask migration misses fewer deadlines than the partitioned schedule
+// both at the paper's provisioning (row 0) and under-provisioned (row 1).
+func TestAblationTaskMigrationRTOPEXWins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
@@ -250,16 +276,14 @@ func TestAblationTaskMigrationEquality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Row 0 is the paper's provisioning: semi == partitioned exactly.
-	p := parseCell(t, tb, 0, "partitioned")
-	s := parseCell(t, tb, 0, "semi-partitioned")
-	if p != s {
-		t.Errorf("provisioned semi-partitioned %v != partitioned %v", s, p)
+	if len(tb.Rows) != 2 {
+		t.Fatalf("%d provisioning rows, want 2", len(tb.Rows))
 	}
-	// Row 1 is under-provisioned: semi must now beat partitioned.
-	p1 := parseCell(t, tb, 1, "partitioned")
-	s1 := parseCell(t, tb, 1, "semi-partitioned")
-	if s1 >= p1 {
-		t.Errorf("under-provisioned semi-partitioned %v not below partitioned %v", s1, p1)
+	for i, row := range tb.Rows {
+		p := parseCell(t, tb, i, "partitioned")
+		r := parseCell(t, tb, i, "rt-opex")
+		if r >= p {
+			t.Errorf("%s: RT-OPEX %v not below partitioned %v", row[0], r, p)
+		}
 	}
 }

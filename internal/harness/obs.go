@@ -2,6 +2,7 @@ package harness
 
 import (
 	"math"
+	"regexp"
 	"strconv"
 	"strings"
 
@@ -11,20 +12,22 @@ import (
 // missColumnHints are scheduler-name columns whose cells are miss rates in
 // the paper's figures (miss-rate-vs-X tables put one scheduler per column).
 var missColumnHints = map[string]bool{
-	"partitioned":      true,
-	"global":           true,
-	"global-8":         true,
-	"global-16":        true,
-	"rt-opex":          true,
-	"semi-partitioned": true,
-	"static-parallel":  true,
-	"pran":             true,
+	"partitioned": true,
+	"global-8":    true,
+	"global-16":   true,
+	"rt-opex":     true,
+	"static-2":    true,
+	"static-4":    true,
 }
+
+// coreSuffix matches the "(<n>c)" core count a scheduler column may carry,
+// as in ext-parallel's "rt-opex(8c)".
+var coreSuffix = regexp.MustCompile(`\(\d+c\)$`)
 
 // isMissColumn reports whether a column holds deadline-miss rates, by the
 // naming conventions of the experiment registry.
 func isMissColumn(name string) bool {
-	return strings.Contains(strings.ToLower(name), "miss") || missColumnHints[name]
+	return strings.Contains(strings.ToLower(name), "miss") || missColumnHints[coreSuffix.ReplaceAllString(name, "")]
 }
 
 // PublishTable exposes a finished experiment table on a live registry:

@@ -51,9 +51,6 @@ type TaskTimes struct {
 	Decode float64
 }
 
-// Total returns the subframe processing time excluding platform error.
-func (t TaskTimes) Total() float64 { return t.FFT + t.Demod + t.Decode }
-
 // Tasks splits Predict into the three tasks: FFT scales with antennas,
 // demod absorbs the fixed cost, the remaining antenna work and the
 // modulation-order work, decode carries the D·L term.

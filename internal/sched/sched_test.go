@@ -65,7 +65,7 @@ func TestWorkloadShape(t *testing.T) {
 			if j.DecodeSubtasks < 1 || j.DecodeSubtasks > 6 {
 				t.Fatalf("decode subtasks %d", j.DecodeSubtasks)
 			}
-			if math.Abs(j.Tasks.Total()-model.PaperGPP.Predict(2, mcsOrder(j.MCS), loadOf(j.MCS), j.L)) > 1e-9 {
+			if math.Abs(j.Tasks.FFT+j.Tasks.Demod+j.Tasks.Decode-model.PaperGPP.Predict(2, mcsOrder(j.MCS), loadOf(j.MCS), j.L)) > 1e-9 {
 				t.Fatal("task times inconsistent with model")
 			}
 		}
@@ -441,7 +441,6 @@ func TestOverrunsRecorded(t *testing.T) {
 		{"partitioned", fixed, NewPartitioned(2)},
 		{"global", fixed, NewGlobal()},
 		{"rt-opex", jittery, NewRTOPEX(2)},
-		{"semi-partitioned", fixed, NewSemiPartitioned(2)},
 	} {
 		m, err := Run(tc.w, tc.s, 8)
 		if err != nil {

@@ -130,10 +130,10 @@ func TestPartitionedGapsExcludeMisses(t *testing.T) {
 	}
 }
 
-// TestSchedulersPopulateGaps pins the other half of the gap fix: RT-OPEX,
-// Global and SemiPartitioned used to leave Metrics.Gaps empty.
+// TestSchedulersPopulateGaps pins the other half of the gap fix: RT-OPEX
+// and Global used to leave Metrics.Gaps empty.
 func TestSchedulersPopulateGaps(t *testing.T) {
-	for _, s := range []Scheduler{NewRTOPEX(2), NewGlobal(), NewSemiPartitioned(2)} {
+	for _, s := range []Scheduler{NewRTOPEX(2), NewGlobal()} {
 		w := testWorkload(t, 500, 550, 4)
 		m, err := Run(w, s, 8)
 		if err != nil {

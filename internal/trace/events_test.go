@@ -155,7 +155,6 @@ func TestTextMatchesEmitTimeFormatting(t *testing.T) {
 			{"decode n=", "decode n=", ""},
 			{"n= preempted", "n=", " preempted"},
 			{"n= slow", "n=", " slow"},
-			{"w=", "w=", ""},
 		} {
 			e := Event{Render: RenderInt, Detail: c.detail, Arg: float64(n)}
 			if got, want := e.Text(), countDetail(c.prefix, n, c.suffix); got != want {

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strconv"
 	"strings"
 
 	"rtopex/internal/lte"
@@ -169,43 +168,4 @@ func Write(w io.Writer, names []string, traces []Trace) error {
 		bw.WriteByte('\n')
 	}
 	return bw.Flush()
-}
-
-// Read parses the CSV trace format.
-func Read(r io.Reader) (names []string, traces []Trace, err error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	if !sc.Scan() || strings.TrimSpace(sc.Text()) != header {
-		return nil, nil, fmt.Errorf("trace: missing %q header", header)
-	}
-	if !sc.Scan() {
-		return nil, nil, fmt.Errorf("trace: missing name row")
-	}
-	names = strings.Split(strings.TrimSpace(sc.Text()), ",")
-	traces = make([]Trace, len(names))
-	line := 2
-	for sc.Scan() {
-		line++
-		fields := strings.Split(strings.TrimSpace(sc.Text()), ",")
-		if len(fields) != len(names) {
-			return nil, nil, fmt.Errorf("trace: line %d has %d fields, want %d", line, len(fields), len(names))
-		}
-		for j, f := range fields {
-			v, err := strconv.ParseFloat(f, 64)
-			if err != nil {
-				return nil, nil, fmt.Errorf("trace: line %d field %d: %v", line, j, err)
-			}
-			if v < 0 || v > 1 {
-				return nil, nil, fmt.Errorf("trace: line %d field %d: load %v outside [0,1]", line, j, v)
-			}
-			traces[j] = append(traces[j], v)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, nil, err
-	}
-	if len(traces[0]) == 0 {
-		return nil, nil, fmt.Errorf("trace: no data rows")
-	}
-	return names, traces, nil
 }

@@ -122,11 +122,6 @@ type (
 	// StaticParallel is the BigStation-style Table 2 comparator: a fixed
 	// design-time fan-out of every subframe's subtasks.
 	StaticParallel = sched.StaticParallel
-	// PRAN is the planner-based Table 2 comparator: dynamic resource pool,
-	// subtask granularity, but decisions made before processing starts.
-	PRAN = sched.PRAN
-	// SemiPartitioned is the task-level (whole-job) migration baseline.
-	SemiPartitioned = sched.SemiPartitioned
 )
 
 // Transport models.
@@ -163,14 +158,6 @@ func NewRTOPEX(coresPerBS int) *RTOPEX { return sched.NewRTOPEX(coresPerBS) }
 // NewStaticParallel creates the static-fan-out comparator with k cores per
 // basestation.
 func NewStaticParallel(coresPerBS int) *StaticParallel { return sched.NewStaticParallel(coresPerBS) }
-
-// NewPRAN creates the load-planned dynamic-pool comparator.
-func NewPRAN() *PRAN { return sched.NewPRAN() }
-
-// NewSemiPartitioned creates the whole-job-migration baseline.
-func NewSemiPartitioned(coresPerBS int) *SemiPartitioned {
-	return sched.NewSemiPartitioned(coresPerBS)
-}
 
 // BuildWorkload materializes a deterministic job set from a configuration.
 func BuildWorkload(cfg WorkloadConfig) (*Workload, error) { return sched.BuildWorkload(cfg) }

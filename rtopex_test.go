@@ -97,18 +97,12 @@ func TestPublicComparators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range []Scheduler{
-		NewStaticParallel(2),
-		NewPRAN(),
-		NewSemiPartitioned(2),
-	} {
-		m, err := Simulate(w, s, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Jobs() != 6000 {
-			t.Fatalf("%s: jobs %d", m.Scheduler, m.Jobs())
-		}
+	m, err := Simulate(w, NewStaticParallel(2), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Jobs() != 6000 {
+		t.Fatalf("%s: jobs %d", m.Scheduler, m.Jobs())
 	}
 }
 
