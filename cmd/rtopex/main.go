@@ -56,11 +56,6 @@ func main() {
 		httpAddr = flag.String("http", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :6060) for the duration of the run")
 		pushAddr = flag.String("push", "", "stream registry snapshots to the obscollect collector at this address (host:port)")
 	)
-	var tolSpecs []string
-	flag.Func("tol", "per-column tolerance for -baseline, column=rel[,abs] or experiment/column=rel (repeatable)", func(s string) error {
-		tolSpecs = append(tolSpecs, s)
-		return nil
-	})
 	logCfg := rtopex.ObsLogFlags(nil)
 	flag.Parse()
 
@@ -134,7 +129,7 @@ func main() {
 	if sweepMode {
 		os.Exit(runSweep(ids, opts, sweepFlags{
 			parallel: *parallel, workers: *workers, out: *out, resume: *resume,
-			baseline: *baseline, tolSpecs: tolSpecs, replicas: *replicas, timeout: *timeout,
+			baseline: *baseline, replicas: *replicas, timeout: *timeout,
 			skipMeasured: *skipMeas, format: *format, obs: reg, push: pusher, logf: logf,
 		}))
 	}
@@ -202,7 +197,6 @@ type sweepFlags struct {
 	out          string
 	resume       bool
 	baseline     string
-	tolSpecs     []string
 	replicas     int
 	timeout      time.Duration
 	skipMeasured bool
@@ -276,12 +270,7 @@ func runSweep(ids []string, opts rtopex.ExperimentOptions, f sweepFlags) int {
 			f.logf("baseline: %v", err)
 			return 1
 		}
-		perCol, err := rtopex.ParseSweepTolerances(f.tolSpecs)
-		if err != nil {
-			f.logf("%v", err)
-			return 1
-		}
-		drifts := rtopex.CompareSweeps(base, records, rtopex.SweepCompareOptions{PerColumn: perCol})
+		drifts := rtopex.CompareSweeps(base, records, rtopex.SweepCompareOptions{})
 		if len(drifts) > 0 {
 			f.logf("sweep: %d drift(s) from baseline %s:", len(drifts), f.baseline)
 			for _, d := range drifts {

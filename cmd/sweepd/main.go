@@ -63,11 +63,6 @@ func main() {
 		timeout   = flag.Duration("timeout", 0, "per-unit compute budget handed to workers (0 = none)")
 		skipMeas  = flag.Bool("skip-measured", false, "exclude wall-clock-dependent experiments (fig4)")
 	)
-	var tolSpecs []string
-	flag.Func("tol", "per-column tolerance for -baseline, column=rel[,abs] or experiment/column=rel (repeatable)", func(s string) error {
-		tolSpecs = append(tolSpecs, s)
-		return nil
-	})
 	d := obs.DaemonFlags(nil, ":7600")
 	flag.Parse()
 	_ = all // -all is the default; the flag exists for symmetry with rtopex
@@ -77,11 +72,6 @@ func main() {
 		os.Exit(2)
 	}
 	logf := d.Logf
-	perCol, err := sweep.ParseTolerances(tolSpecs)
-	if err != nil {
-		logf("%v", err)
-		os.Exit(2)
-	}
 
 	var ids []string
 	if *exp != "" {
@@ -158,7 +148,7 @@ func main() {
 			logf("baseline: %v", err)
 			os.Exit(1)
 		}
-		drifts := sweep.Compare(base, coord.Records(), sweep.CompareOptions{PerColumn: perCol})
+		drifts := sweep.Compare(base, coord.Records(), sweep.CompareOptions{})
 		if len(drifts) > 0 {
 			logf("%d drift(s) from baseline %s:", len(drifts), *baseline)
 			for _, d := range drifts {

@@ -16,7 +16,8 @@ func init() {
 // Algorithm 1's balancing requirements or the wait-if-cheaper recovery.
 func ablationAlg1(o Options) (*Table, error) {
 	t := &Table{ID: "ablation-alg1", Title: "RT-OPEX variants, miss rate vs RTT/2",
-		Columns: []string{"rtt2_us", "default", "greedy(no R2/R3)", "no-wait recovery", "per-subtask δ"}}
+		Columns: []string{"rtt2_us", "default", "greedy(no R2/R3)", "no-wait recovery", "per-subtask δ"},
+		Kinds:   []Kind{Plain, Rate, Rate, Rate, Rate}}
 	for _, rtt2 := range []float64{450, 550, 650} {
 		w, err := paperWorkload(o, rtt2, -1, 10)
 		if err != nil {
@@ -55,7 +56,8 @@ func ablationAlg1(o Options) (*Table, error) {
 // ablationDelta sweeps the migration overhead.
 func ablationDelta(o Options) (*Table, error) {
 	t := &Table{ID: "ablation-delta", Title: "RT-OPEX miss rate vs migration overhead δ (RTT/2 = 600 µs)",
-		Columns: []string{"delta_us", "miss_rate", "decode_migrated", "fft_migrated"}}
+		Columns: []string{"delta_us", "miss_rate", "decode_migrated", "fft_migrated"},
+		Kinds:   []Kind{Plain, Rate, Plain, Plain}}
 	w, err := paperWorkload(o, 600, -1, 11)
 	if err != nil {
 		return nil, err
@@ -77,7 +79,8 @@ func ablationDelta(o Options) (*Table, error) {
 // ablationGranularity toggles which task types may migrate.
 func ablationGranularity(o Options) (*Table, error) {
 	t := &Table{ID: "ablation-granularity", Title: "RT-OPEX task-type migration toggles, miss rate vs RTT/2",
-		Columns: []string{"rtt2_us", "both", "decode-only", "fft-only", "none(=partitioned)"}}
+		Columns: []string{"rtt2_us", "both", "decode-only", "fft-only", "none(=partitioned)"},
+		Kinds:   []Kind{Plain, Rate, Rate, Rate, Rate}}
 	for _, rtt2 := range []float64{450, 550, 650} {
 		w, err := paperWorkload(o, rtt2, -1, 12)
 		if err != nil {
@@ -119,7 +122,8 @@ func ablationGranularity(o Options) (*Table, error) {
 // ablationCache isolates the Fig. 19 explanation.
 func ablationCache(o Options) (*Table, error) {
 	t := &Table{ID: "ablation-cache", Title: "Global scheduler ± cache model (RTT/2 = 550 µs)",
-		Columns: []string{"cores", "with_cache", "without_cache"}}
+		Columns: []string{"cores", "with_cache", "without_cache"},
+		Kinds:   []Kind{Plain, Rate, Rate}}
 	w, err := paperWorkload(o, 550, -1, 13)
 	if err != nil {
 		return nil, err
@@ -145,7 +149,8 @@ func ablationCache(o Options) (*Table, error) {
 // ablationDispatch sweeps the global scheduler's per-dispatch overhead.
 func ablationDispatch(o Options) (*Table, error) {
 	t := &Table{ID: "ablation-dispatch", Title: "Global scheduler vs dispatch overhead (RTT/2 = 550 µs, 8 cores)",
-		Columns: []string{"dispatch_us", "miss_rate"}}
+		Columns: []string{"dispatch_us", "miss_rate"},
+		Kinds:   []Kind{Plain, Rate}}
 	w, err := paperWorkload(o, 550, -1, 14)
 	if err != nil {
 		return nil, err
@@ -172,7 +177,8 @@ func init() {
 // under-provisioned.
 func ablationTaskMigration(o Options) (*Table, error) {
 	t := &Table{ID: "ablation-task-migration", Title: "Subtask migration vs none, miss rate (RTT/2 = 600 µs)",
-		Columns: []string{"provisioning", "partitioned", "rt-opex"}}
+		Columns: []string{"provisioning", "partitioned", "rt-opex"},
+		Kinds:   []Kind{Plain, Rate, Rate}}
 	w, err := paperWorkload(o, 600, -1, 15)
 	if err != nil {
 		return nil, err

@@ -45,7 +45,8 @@ var rttSweep = []float64{400, 450, 500, 550, 600, 650, 700}
 // fig15 runs the four schedulers across the transport-delay sweep.
 func fig15(o Options) (*Table, error) {
 	t := &Table{ID: "fig15", Title: "Deadline-miss rate vs RTT/2 (µs)",
-		Columns: []string{"rtt2_us", "partitioned", "global-8", "global-16", "rt-opex"}}
+		Columns: []string{"rtt2_us", "partitioned", "global-8", "global-16", "rt-opex"},
+		Kinds:   []Kind{Plain, Rate, Rate, Rate, Rate}}
 	for _, rtt2 := range rttSweep {
 		w, err := paperWorkload(o, rtt2, -1, 0)
 		if err != nil {
@@ -102,9 +103,10 @@ func fig16(o Options) (*Table, error) {
 // fig17 fixes RTT/2 = 500 µs and sweeps the offered load via fixed MCS.
 func fig17(o Options) (*Table, error) {
 	t := &Table{ID: "fig17", Title: "Deadline-miss rate vs offered load, RTT/2 = 500 µs",
-		Columns: []string{"mcs", "load_mbps", "partitioned", "global-8", "rt-opex"}}
+		Columns: []string{"mcs", "load_mbps", "partitioned", "global-8", "rt-opex"},
+		Kinds:   []Kind{Plain, Plain, Rate, Rate, Rate}}
 	const rtt2 = 500
-	var supportedPart, supportedRT float64
+	var loads, part, rt []float64
 	for _, mcs := range []int{0, 5, 9, 13, 17, 20, 22, 24, 25, 26, 27} {
 		mbps, err := lte.ThroughputMbps(mcs, lte.BW10MHz)
 		if err != nil {
@@ -127,18 +129,42 @@ func fig17(o Options) (*Table, error) {
 			return nil, err
 		}
 		t.AddRow(mcs, mbps, p.MissRate(), g.MissRate(), r.MissRate())
-		if p.MissRate() <= 1e-2 {
-			supportedPart = mbps
-		}
-		if r.MissRate() <= 1e-2 {
-			supportedRT = mbps
-		}
+		loads = append(loads, mbps)
+		part = append(part, p.MissRate())
+		rt = append(rt, r.MissRate())
 	}
-	t.Notes = append(t.Notes,
-		fmt.Sprintf("supported load at the 1e-2 miss threshold: partitioned %.1f Mbps, RT-OPEX %.1f Mbps (+%.0f%%)",
-			supportedPart, supportedRT, 100*(supportedRT-supportedPart)/maxf(supportedPart, 1)),
+	t.Notes = append(t.Notes, supportedLoadNote(loads, part, rt),
 		"paper: RT-OPEX sustains ~15% higher load (31 vs 27 Mbps) at the 1e-2 threshold")
 	return t, nil
+}
+
+// supportedLoad returns the largest of the ascending loads at or below which
+// every miss rate is ≤ 1e-2, and the next load, where the curve first
+// crosses 1e-2 (0 when it never does). A curve that dips back under the
+// threshold after crossing it supports no more load.
+func supportedLoad(loads, miss []float64) (supported, crossing float64) {
+	for i, m := range miss {
+		if m > 1e-2 {
+			return supported, loads[i]
+		}
+		supported = loads[i]
+	}
+	return supported, 0
+}
+
+// supportedLoadNote renders fig17's supported-load comparison, with each
+// scheduler's first crossing as the grid interval that contains it.
+func supportedLoadNote(loads, part, rt []float64) string {
+	crossing := func(name string, supported, next float64) string {
+		if next == 0 {
+			return fmt.Sprintf("%s does not cross it up to %.1f Mbps", name, supported)
+		}
+		return fmt.Sprintf("%s crosses it between %.1f and %.1f Mbps", name, supported, next)
+	}
+	sp, np := supportedLoad(loads, part)
+	sr, nr := supportedLoad(loads, rt)
+	return fmt.Sprintf("supported load at the 1e-2 miss threshold (every load up to it at or under 1e-2): partitioned %.1f Mbps, RT-OPEX %.1f Mbps (%+.0f%%); %s, %s",
+		sp, sr, 100*(sr-sp)/maxf(sp, 1), crossing("partitioned", sp, np), crossing("RT-OPEX", sr, nr))
 }
 
 func maxf(a, b float64) float64 {
@@ -152,7 +178,8 @@ func maxf(a, b float64) float64 {
 // processing-time distribution at 8 vs 16 cores.
 func fig19(o Options) (*Table, error) {
 	t := &Table{ID: "fig19", Title: "Global scheduler vs cores (RTT/2 = 550 µs)",
-		Columns: []string{"cores", "miss_rate", "mcs27_proc_p50", "mcs27_proc_p90", "mcs27_proc_p99"}}
+		Columns: []string{"cores", "miss_rate", "mcs27_proc_p50", "mcs27_proc_p90", "mcs27_proc_p99"},
+		Kinds:   []Kind{Plain, Rate, Plain, Plain, Plain}}
 	const rtt2 = 550
 	w, err := paperWorkload(o, rtt2, -1, 3)
 	if err != nil {

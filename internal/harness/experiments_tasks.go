@@ -98,7 +98,7 @@ func fig4(o Options) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"paper (OAI, Xeon): FFT over 2 cores nearly halves with ≤6 µs overhead; decode drops 980→670 µs",
-		"this chain is pure Go without SIMD, so absolute values are larger; the parallel speedup is the claim under test",
+		"this chain is Go with AVX2 kernels (FFT, demapping, MRC, turbo decode) where the CPU has them, not OAI's SSE PHY, so absolute values differ; the parallel speedup is the claim under test",
 		fmt.Sprintf("measured on %d CPU(s) — the 2-worker rows only show a speedup when ≥2 CPUs are available", runtime.NumCPU()))
 	return t, nil
 }

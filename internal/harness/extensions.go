@@ -36,7 +36,8 @@ func table2(Options) (*Table, error) {
 // and at matched-resource core counts.
 func extParallel(o Options) (*Table, error) {
 	t := &Table{ID: "ext-parallel", Title: "RT-OPEX vs static parallelism, miss rate vs RTT/2",
-		Columns: []string{"rtt2_us", "rt-opex(8c)", "static-2(8c)", "static-4(16c)", "partitioned(8c)"}}
+		Columns: []string{"rtt2_us", "rt-opex(8c)", "static-2(8c)", "static-4(16c)", "partitioned(8c)"},
+		Kinds:   []Kind{Plain, Rate, Rate, Rate, Rate}}
 	for _, rtt2 := range []float64{450, 550, 650} {
 		w, err := paperWorkload(o, rtt2, -1, 20)
 		if err != nil {
@@ -96,7 +97,8 @@ func extHetero(o Options) (*Table, error) {
 		return nil, err
 	}
 	t := &Table{ID: "ext-hetero", Title: "Heterogeneous basestations (4/2/1/1 antennas), RTT/2 = 550 µs",
-		Columns: []string{"scheduler", "miss_total", "miss_bs1(macro)", "miss_bs3(small)", "decode_migrated"}}
+		Columns: []string{"scheduler", "miss_total", "miss_bs1(macro)", "miss_bs3(small)", "decode_migrated"},
+		Kinds:   []Kind{Plain, Rate, Rate, Rate, Plain}}
 	for _, s := range []sched.Scheduler{sched.NewPartitioned(2), sched.NewGlobal(), sched.NewRTOPEX(2)} {
 		m, err := sched.Run(w, s, 8)
 		if err != nil {
@@ -115,7 +117,8 @@ func extHetero(o Options) (*Table, error) {
 // trigger.
 func extTransport(o Options) (*Table, error) {
 	t := &Table{ID: "ext-transport", Title: "Jittery transport (fronthaul + cloud tail) vs fixed delay",
-		Columns: []string{"fronthaul_km", "e[rtt2]_us", "partitioned", "rt-opex", "preemptions", "recoveries"}}
+		Columns: []string{"fronthaul_km", "e[rtt2]_us", "partitioned", "rt-opex", "preemptions", "recoveries"},
+		Kinds:   []Kind{Plain, Plain, Rate, Rate, Plain, Plain}}
 	for _, km := range []float64{20, 40, 60, 80} {
 		path := transport.Path{
 			Fronthaul: transport.Fronthaul{DistanceKm: km, SwitchUS: 10},
@@ -160,7 +163,8 @@ func init() {
 // into the idle gaps RT-OPEX harvests.
 func extDuplex(o Options) (*Table, error) {
 	t := &Table{ID: "ext-duplex", Title: "Uplink misses with and without downlink co-processing (RTT/2 = 550 µs)",
-		Columns: []string{"workload", "partitioned", "rt-opex", "rt-opex_decode_migrated", "tx_miss(rt-opex)"}}
+		Columns: []string{"workload", "partitioned", "rt-opex", "rt-opex_decode_migrated", "tx_miss(rt-opex)"},
+		Kinds:   []Kind{Plain, Rate, Rate, Plain, Rate}}
 	for _, duplex := range []bool{false, true} {
 		cfg := sched.WorkloadConfig{
 			Basestations: 4, Subframes: o.subframes(), Antennas: 2,

@@ -16,8 +16,30 @@ type Table struct {
 	ID      string
 	Title   string
 	Columns []string
-	Rows    [][]string
-	Notes   []string
+	// Kinds says what each column holds, index for index with Columns; a
+	// missing entry is Plain. It is declared by the experiment, not
+	// stored: records keep only the cells.
+	Kinds []Kind `json:"-"`
+	Rows  [][]string
+	Notes []string
+}
+
+// Kind says what a column's cells hold.
+type Kind uint8
+
+const (
+	// Plain is any column that is not a miss rate.
+	Plain Kind = iota
+	// Rate is a deadline-miss fraction in [0, 1].
+	Rate
+)
+
+// kind returns the declared kind of column col.
+func (t *Table) kind(col int) Kind {
+	if col < len(t.Kinds) {
+		return t.Kinds[col]
+	}
+	return Plain
 }
 
 // AddRow appends a formatted row; values are Sprintf'd with %v unless they

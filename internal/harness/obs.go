@@ -2,38 +2,16 @@ package harness
 
 import (
 	"math"
-	"regexp"
 	"strconv"
 	"strings"
 
 	"rtopex/internal/obs"
 )
 
-// missColumnHints are scheduler-name columns whose cells are miss rates in
-// the paper's figures (miss-rate-vs-X tables put one scheduler per column).
-var missColumnHints = map[string]bool{
-	"partitioned": true,
-	"global-8":    true,
-	"global-16":   true,
-	"rt-opex":     true,
-	"static-2":    true,
-	"static-4":    true,
-}
-
-// coreSuffix matches the "(<n>c)" core count a scheduler column may carry,
-// as in ext-parallel's "rt-opex(8c)".
-var coreSuffix = regexp.MustCompile(`\(\d+c\)$`)
-
-// isMissColumn reports whether a column holds deadline-miss rates, by the
-// naming conventions of the experiment registry.
-func isMissColumn(name string) bool {
-	return strings.Contains(strings.ToLower(name), "miss") || missColumnHints[coreSuffix.ReplaceAllString(name, "")]
-}
-
 // PublishTable exposes a finished experiment table on a live registry:
-// per-column means as gauges, and every miss-rate column additionally as
-// rtopex_experiment_miss_rate (the series the ISSUE's sweep-progress
-// dashboard scrapes). Non-numeric cells are skipped. A nil registry is a
+// per-column means as gauges, and every Rate column additionally as
+// rtopex_experiment_miss_rate (the series a sweep-progress dashboard
+// scrapes). Non-numeric cells are skipped. A nil registry is a
 // no-op.
 func PublishTable(reg *obs.Registry, tb *Table) {
 	if reg == nil || tb == nil {
@@ -52,14 +30,15 @@ func PublishTable(reg *obs.Registry, tb *Table) {
 		ls := []obs.Label{obs.L("experiment", tb.ID), obs.L("column", name)}
 		mean := stats.sum / float64(stats.n)
 		reg.Gauge("rtopex_experiment_column_mean", ls...).Set(mean)
-		if isMissColumn(name) {
+		if tb.kind(col) == Rate {
 			reg.Gauge("rtopex_experiment_miss_rate", ls...).Set(mean)
 		}
 	}
 }
 
 // TableSnapshot converts a finished table into a standalone obs snapshot:
-// a row counter plus, per numeric column, a value histogram and mean gauge.
+// a row counter plus, per numeric column, a value histogram and mean gauge,
+// and per Rate column a miss-rate gauge.
 // It is derived from the table alone — no clocks, no environment — so for a
 // given table the snapshot is deterministic, which lets sweep records embed
 // it without breaking the byte-identical parallel-equals-serial guarantee.
@@ -74,7 +53,7 @@ func TableSnapshot(tb *Table) *obs.Snapshot {
 			h.Observe(v)
 		}
 		reg.Gauge("rtopex_table_mean", ls...).Set(stats.sum / float64(stats.n))
-		if isMissColumn(name) {
+		if tb.kind(col) == Rate {
 			reg.Gauge("rtopex_table_miss_rate", ls...).Set(stats.sum / float64(stats.n))
 		}
 	}

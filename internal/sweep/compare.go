@@ -4,94 +4,20 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
 
 	"rtopex/internal/obs"
 )
 
-// Tolerance bounds the allowed numeric drift of one cell: a candidate
-// value v passes against baseline b when |v−b| ≤ Abs + Rel·max(|v|,|b|).
-// The zero Tolerance demands exact equality — the right default for a
-// deterministic simulation, where any drift means the code changed
-// behavior.
-type Tolerance struct {
-	Rel float64
-	Abs float64
-}
-
-func (t Tolerance) ok(base, got float64) bool {
-	if base == got { // covers ±Inf and exact matches
-		return true
-	}
-	if math.IsNaN(base) && math.IsNaN(got) {
-		return true
-	}
-	return math.Abs(base-got) <= t.Abs+t.Rel*math.Max(math.Abs(base), math.Abs(got))
-}
-
-// ParseTolerances parses command-line tolerance specs of the form
-// "column=rel" or "experiment/column=rel" or "column=rel,abs" into the
-// PerColumn map CompareOptions takes. Rel and Abs are plain floats
-// (e.g. "gap_p50=0.001" allows 0.1% relative drift on every gap_p50 cell).
-// The split is at the LAST '=', so column names containing '=' (fig3a's
-// "L=1", ablation-granularity's "none(=partitioned)") stay addressable.
-func ParseTolerances(specs []string) (map[string]Tolerance, error) {
-	if len(specs) == 0 {
-		return nil, nil
-	}
-	out := make(map[string]Tolerance, len(specs))
-	for _, spec := range specs {
-		i := strings.LastIndex(spec, "=")
-		var col, vals string
-		ok := i >= 0
-		if ok {
-			col, vals = spec[:i], spec[i+1:]
-		}
-		if !ok || col == "" || vals == "" {
-			return nil, fmt.Errorf("sweep: tolerance %q: want column=rel or column=rel,abs", spec)
-		}
-		var t Tolerance
-		rel, abs, hasAbs := strings.Cut(vals, ",")
-		v, err := strconv.ParseFloat(rel, 64)
-		if err != nil {
-			return nil, fmt.Errorf("sweep: tolerance %q: bad relative bound: %v", spec, err)
-		}
-		t.Rel = v
-		if hasAbs {
-			v, err := strconv.ParseFloat(abs, 64)
-			if err != nil {
-				return nil, fmt.Errorf("sweep: tolerance %q: bad absolute bound: %v", spec, err)
-			}
-			t.Abs = v
-		}
-		out[col] = t
-	}
-	return out, nil
-}
-
-// CompareOptions configure the regression gate.
+// CompareOptions configure the regression gate. The gate is exact: the
+// simulation is deterministic, so any drift in a cell, note or obs series
+// means the code changed behavior.
 type CompareOptions struct {
-	// Default applies to every numeric cell without a more specific entry.
-	Default Tolerance
-	// PerColumn overrides by "<experiment>/<column>" first, then by bare
-	// "<column>".
-	PerColumn map[string]Tolerance
 	// IncludeMeasured also diffs wall-clock-dependent artifacts (normally
 	// skipped: their values are not reproducible).
 	IncludeMeasured bool
 	// IgnoreNotes skips the free-text notes (which may embed derived
 	// numbers) and gates on table cells only.
 	IgnoreNotes bool
-}
-
-func (o CompareOptions) tolerance(experiment, column string) Tolerance {
-	if t, ok := o.PerColumn[experiment+"/"+column]; ok {
-		return t
-	}
-	if t, ok := o.PerColumn[column]; ok {
-		return t
-	}
-	return o.Default
 }
 
 // Drift is one detected divergence between a baseline and a fresh sweep.
@@ -179,7 +105,7 @@ func compareRecord(b, f *Record, o CompareOptions) []Drift {
 			if c < len(bt.Columns) {
 				col = bt.Columns[c]
 			}
-			if !cellEqual(bt.Rows[i][c], ft.Rows[i][c], o.tolerance(b.Experiment, col)) {
+			if !cellEqual(bt.Rows[i][c], ft.Rows[i][c]) {
 				drifts = append(drifts, d(fmt.Sprintf("cell %d/%s", i, col), bt.Rows[i][c], ft.Rows[i][c]))
 			}
 		}
@@ -196,16 +122,15 @@ func compareRecord(b, f *Record, o CompareOptions) []Drift {
 			}
 		}
 	}
-	drifts = append(drifts, compareObs(b, f, o)...)
+	drifts = append(drifts, compareObs(b, f)...)
 	return drifts
 }
 
-// compareObs gates the embedded observability snapshots: counters must
-// match exactly, gauges within the experiment's tolerance, histograms on
-// exact count plus sum/p50/p99 within tolerance. Records without snapshots
-// (schema 1 baselines, or only one side carrying one) are skipped — the
-// gate tightens only when both sides speak the same schema.
-func compareObs(b, f *Record, o CompareOptions) []Drift {
+// compareObs gates the embedded observability snapshots exactly: counters
+// and gauges by value, histograms by count, sum, p50 and p99. Records
+// without snapshots (schema 1 baselines, or only one side carrying one) are
+// skipped — the gate tightens only when both sides speak the same schema.
+func compareObs(b, f *Record) []Drift {
 	if b.Obs == nil || f.Obs == nil {
 		return nil
 	}
@@ -213,7 +138,6 @@ func compareObs(b, f *Record, o CompareOptions) []Drift {
 		return Drift{Experiment: b.Experiment, Replica: b.Replica, Where: where, Baseline: base, Fresh: got}
 	}
 	var drifts []Drift
-	tol := func(name string) Tolerance { return o.tolerance(b.Experiment, name) }
 
 	fc := make(map[string]int64, len(f.Obs.Counters))
 	for _, c := range f.Obs.Counters {
@@ -237,7 +161,7 @@ func compareObs(b, f *Record, o CompareOptions) []Drift {
 	for _, g := range b.Obs.Gauges {
 		id := obs.SeriesID(g.Name, g.Labels)
 		got, ok := fg[id]
-		if !ok || !tol(g.Name).ok(g.Value, got) {
+		if !ok || !floatEqual(g.Value, got) {
 			fresh := "(no series)"
 			if ok {
 				fresh = fmt.Sprint(got)
@@ -257,18 +181,17 @@ func compareObs(b, f *Record, o CompareOptions) []Drift {
 			drifts = append(drifts, d("obs histogram "+id, fmt.Sprintf("count=%d", h.Value.Count), "(no series)"))
 			continue
 		}
-		t := tol(h.Name)
 		switch {
 		case got.Count != h.Value.Count:
 			drifts = append(drifts, d("obs histogram "+id+" count",
 				fmt.Sprint(h.Value.Count), fmt.Sprint(got.Count)))
-		case !t.ok(h.Value.Sum, got.Sum):
+		case !floatEqual(h.Value.Sum, got.Sum):
 			drifts = append(drifts, d("obs histogram "+id+" sum",
 				fmt.Sprint(h.Value.Sum), fmt.Sprint(got.Sum)))
-		case h.Value.Count > 0 && !t.ok(h.Value.Quantile(0.5), got.Quantile(0.5)):
+		case h.Value.Count > 0 && !floatEqual(h.Value.Quantile(0.5), got.Quantile(0.5)):
 			drifts = append(drifts, d("obs histogram "+id+" p50",
 				fmt.Sprint(h.Value.Quantile(0.5)), fmt.Sprint(got.Quantile(0.5))))
-		case h.Value.Count > 0 && !t.ok(h.Value.Quantile(0.99), got.Quantile(0.99)):
+		case h.Value.Count > 0 && !floatEqual(h.Value.Quantile(0.99), got.Quantile(0.99)):
 			drifts = append(drifts, d("obs histogram "+id+" p99",
 				fmt.Sprint(h.Value.Quantile(0.99)), fmt.Sprint(got.Quantile(0.99))))
 		}
@@ -276,9 +199,9 @@ func compareObs(b, f *Record, o CompareOptions) []Drift {
 	return drifts
 }
 
-// cellEqual compares one cell: numerically under the tolerance when both
-// sides parse as floats, exactly otherwise.
-func cellEqual(base, got string, tol Tolerance) bool {
+// cellEqual compares one cell: as numbers when both sides parse as floats
+// (so "0.5" equals "0.50"), as text otherwise.
+func cellEqual(base, got string) bool {
 	if base == got {
 		return true
 	}
@@ -287,5 +210,10 @@ func cellEqual(base, got string, tol Tolerance) bool {
 	if berr != nil || gerr != nil {
 		return false
 	}
-	return tol.ok(bv, gv)
+	return floatEqual(bv, gv)
+}
+
+// floatEqual is exact equality under which NaN equals NaN.
+func floatEqual(base, got float64) bool {
+	return base == got || math.IsNaN(base) && math.IsNaN(got)
 }

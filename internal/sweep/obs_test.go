@@ -19,7 +19,8 @@ func TestSweepPublishesProgress(t *testing.T) {
 		Obs:     reg,
 		Options: harness.Options{Quick: true, Seed: 5},
 		runFn: func(id string, o harness.Options) (*harness.Table, error) {
-			tb := &harness.Table{ID: id, Title: id, Columns: []string{"x", "miss_rate"}}
+			tb := &harness.Table{ID: id, Title: id, Columns: []string{"x", "miss_rate"},
+				Kinds: []harness.Kind{harness.Plain, harness.Rate}}
 			tb.AddRow("1", 0.25)
 			return tb, nil
 		},
@@ -106,7 +107,7 @@ func TestCompareObs(t *testing.T) {
 		t.Fatalf("identical obs drifted: %v", d)
 	}
 
-	// Gauge drift caught, and released by tolerance.
+	// Gauge drift caught.
 	fresh := []*Record{mk(0.011)}
 	d := Compare(base, fresh, CompareOptions{})
 	found := false
@@ -117,9 +118,6 @@ func TestCompareObs(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("obs drift not caught: %v", d)
-	}
-	if d := Compare(base, fresh, CompareOptions{Default: Tolerance{Rel: 0.2}}); len(d) != 0 {
-		t.Fatalf("tolerance not applied to obs: %v", d)
 	}
 
 	// One side missing a snapshot (schema-1 baseline): no obs gating.

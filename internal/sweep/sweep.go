@@ -12,7 +12,7 @@
 //   - resume: a re-run skips every unit whose key already has a record
 //     (checkpointing falls out of the store being content-addressed);
 //   - regression gating: Compare diffs a fresh sweep against checked-in
-//     golden baselines under per-column tolerances;
+//     golden baselines, exactly;
 //   - fault isolation: a unit that panics or exceeds its timeout degrades
 //     the sweep (reported as a Failure) instead of killing it.
 package sweep

@@ -6,16 +6,11 @@
 // synthesizes per-subframe load processes with the two properties the
 // schedulers actually consume: strong subframe-to-subframe variation
 // (Fig. 1) and diverse per-basestation marginal distributions (Fig. 14).
-// The generator is a bounded AR(1) process with a superimposed burst state;
-// externally captured traces can be loaded from the CSV format instead.
+// The generator is a bounded AR(1) process with a superimposed burst state.
 package trace
 
 import (
-	"bufio"
-	"fmt"
-	"io"
 	"math"
-	"strings"
 
 	"rtopex/internal/lte"
 	"rtopex/internal/stats"
@@ -106,15 +101,6 @@ func MCS(load float64) int {
 	return m
 }
 
-// MCSSeries converts a trace to its per-subframe MCS sequence.
-func (t Trace) MCSSeries() []int {
-	out := make([]int, len(t))
-	for i, l := range t {
-		out[i] = MCS(l)
-	}
-	return out
-}
-
 // Mean returns the average load.
 func (t Trace) Mean() float64 {
 	if len(t) == 0 {
@@ -138,34 +124,4 @@ func (t Trace) StepVariation() float64 {
 		s += math.Abs(t[i] - t[i-1])
 	}
 	return s / float64(len(t)-1)
-}
-
-// header tags the CSV trace format.
-const header = "# rtopex-trace v1"
-
-// Write stores a set of named traces as CSV: a header line, a name row and
-// one row per subframe. All traces must have equal length.
-func Write(w io.Writer, names []string, traces []Trace) error {
-	if len(names) != len(traces) || len(traces) == 0 {
-		return fmt.Errorf("trace: %d names for %d traces", len(names), len(traces))
-	}
-	n := len(traces[0])
-	for i, tr := range traces {
-		if len(tr) != n {
-			return fmt.Errorf("trace: trace %d has %d subframes, want %d", i, len(tr), n)
-		}
-	}
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, header)
-	fmt.Fprintln(bw, strings.Join(names, ","))
-	for i := 0; i < n; i++ {
-		for j := range traces {
-			if j > 0 {
-				bw.WriteByte(',')
-			}
-			fmt.Fprintf(bw, "%.6f", traces[j][i])
-		}
-		bw.WriteByte('\n')
-	}
-	return bw.Flush()
 }

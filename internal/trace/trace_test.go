@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -92,14 +91,6 @@ func TestMCSQuantization(t *testing.T) {
 	}
 }
 
-func TestMCSSeries(t *testing.T) {
-	tr := Trace{0, 0.5, 1}
-	s := tr.MCSSeries()
-	if len(s) != 3 || s[0] != 0 || s[2] != 27 {
-		t.Fatalf("series %v", s)
-	}
-}
-
 func TestTraceStats(t *testing.T) {
 	tr := Trace{0.2, 0.4, 0.6}
 	if math.Abs(tr.Mean()-0.4) > 1e-12 {
@@ -110,31 +101,6 @@ func TestTraceStats(t *testing.T) {
 	}
 	if (Trace{}).Mean() != 0 || (Trace{0.1}).StepVariation() != 0 {
 		t.Fatal("degenerate cases wrong")
-	}
-}
-
-func TestWriteGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Write(&buf, []string{"BS1", "BS2"}, []Trace{{0.1, 0.25, 1}, {0, 0.8, 1.0 / 3}}); err != nil {
-		t.Fatal(err)
-	}
-	const want = "# rtopex-trace v1\n" +
-		"BS1,BS2\n" +
-		"0.100000,0.000000\n" +
-		"0.250000,0.800000\n" +
-		"1.000000,0.333333\n"
-	if got := buf.String(); got != want {
-		t.Fatalf("Write produced\n%s\nwant\n%s", got, want)
-	}
-}
-
-func TestWriteErrors(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Write(&buf, []string{"a"}, nil); err == nil {
-		t.Error("mismatched lengths accepted")
-	}
-	if err := Write(&buf, []string{"a", "b"}, []Trace{{0.1}, {0.1, 0.2}}); err == nil {
-		t.Error("ragged traces accepted")
 	}
 }
 

@@ -199,8 +199,6 @@ type (
 	SweepRecord = sweep.Record
 	// SweepCompareOptions configure the baseline regression gate.
 	SweepCompareOptions = sweep.CompareOptions
-	// SweepTolerance bounds allowed numeric drift of one table cell.
-	SweepTolerance = sweep.Tolerance
 	// SweepDrift is one detected baseline divergence.
 	SweepDrift = sweep.Drift
 )
@@ -218,13 +216,6 @@ func ReadSweepStore(path string) ([]*SweepRecord, error) { return sweep.ReadStor
 // every drift (empty means the gate passes).
 func CompareSweeps(baseline, fresh []*SweepRecord, o SweepCompareOptions) []SweepDrift {
 	return sweep.Compare(baseline, fresh, o)
-}
-
-// ParseSweepTolerances parses "column=rel[,abs]" or
-// "experiment/column=rel[,abs]" specs (the repeatable -tol flag) into the
-// PerColumn map CompareSweeps takes.
-func ParseSweepTolerances(specs []string) (map[string]SweepTolerance, error) {
-	return sweep.ParseTolerances(specs)
 }
 
 // AggregateSweepReplicas reduces a replicated sweep's records to one
