@@ -14,8 +14,12 @@
 // cmd/obscollect collector after every finished experiment.
 //
 // Each experiment prints an aligned text table with notes tying the output
-// back to the paper's claims. Runs are deterministic for a given seed; a
-// parallel sweep produces byte-identical artifact records to a serial one.
+// back to the paper's claims. Every run goes through the sweep engine, on
+// one worker unless -parallel or -workers says otherwise. -seed is the root
+// seed: each experiment runs under a seed derived from it, the experiment
+// id and the replica, so `rtopex -exp fig15` prints the table the sweep
+// store holds for fig15, and a parallel sweep produces byte-identical
+// artifact records to a serial one.
 package main
 
 import (
@@ -35,12 +39,11 @@ func main() {
 		list      = flag.Bool("list", false, "list experiment ids")
 		subframes = flag.Int("subframes", 0, "subframes per basestation (default 30000)")
 		samples   = flag.Int("samples", 0, "samples for distribution experiments (default 1e6)")
-		seed      = flag.Uint64("seed", 0, "random seed (default fixed)")
+		seed      = flag.Uint64("seed", 0, "root seed; each experiment derives its own from it, its id and its replica (default fixed)")
 		quick     = flag.Bool("quick", false, "shrink scales ~10x for a fast run")
 		format    = flag.String("format", "text", "output format: text or csv")
 
-		// Sweep-engine flags. Any of them routes the run through the sweep
-		// orchestrator (worker pool, artifact store, baseline gate).
+		// Sweep-engine flags: worker pool, artifact store, baseline gate.
 		parallel = flag.Bool("parallel", false, "run experiments on a worker pool (default workers = NumCPU)")
 		workers  = flag.Int("workers", 0, "worker-pool size for -parallel (default NumCPU)")
 		out      = flag.String("out", "", "stream artifact records to this JSON-lines store")
@@ -124,41 +127,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	sweepMode := *parallel || *out != "" || *resume || *baseline != "" ||
-		*replicas > 0 || *timeout > 0 || *skipMeas
-	if sweepMode {
-		os.Exit(runSweep(ids, opts, sweepFlags{
-			parallel: *parallel, workers: *workers, out: *out, resume: *resume,
-			baseline: *baseline, replicas: *replicas, timeout: *timeout,
-			skipMeasured: *skipMeas, format: *format, obs: reg, push: pusher, logf: logf,
-		}))
-	}
-
-	if *all {
-		ids = rtopex.Experiments()
-	}
-	for _, id := range ids {
-		start := time.Now()
-		tb, err := rtopex.RunExperiment(id, opts)
-		if err != nil {
-			logf("%v", err)
-			os.Exit(1)
-		}
-		if reg != nil {
-			rtopex.PublishExperimentTable(reg, tb)
-			if err := pusher.Push(reg); err != nil {
-				logf("%v", err)
-			}
-		}
-		printTable(tb, *format)
-		if *format != "csv" {
-			fmt.Printf("(%s in %.1fs)\n\n", id, time.Since(start).Seconds())
-		}
-	}
-	if err := pusher.PushFinal(reg); err != nil {
-		logf("%v", err)
-		os.Exit(1)
-	}
+	os.Exit(runSweep(ids, opts, sweepFlags{
+		parallel: *parallel, workers: *workers, out: *out, resume: *resume,
+		baseline: *baseline, replicas: *replicas, timeout: *timeout,
+		skipMeasured: *skipMeas, format: *format, obs: reg, push: pusher, logf: logf,
+	}))
 }
 
 // splitIDs parses -exp's comma-separated experiment list.
@@ -172,8 +145,8 @@ func splitIDs(s string) []string {
 	return ids
 }
 
-// expLabel renders the source label describing which experiments (the
-// "shard range") this process pushes for.
+// expLabel renders the source label naming the experiments this process
+// pushes for.
 func expLabel(exp string, all bool) string {
 	if all || exp == "" {
 		return "all"
@@ -210,7 +183,7 @@ type sweepFlags struct {
 func runSweep(ids []string, opts rtopex.ExperimentOptions, f sweepFlags) int {
 	workers := f.workers
 	if !f.parallel && workers <= 0 {
-		workers = 1 // sweep-store flags without -parallel: serial semantics
+		workers = 1 // without -parallel: serial, in registry order
 	}
 	res, err := rtopex.RunSweep(rtopex.SweepConfig{
 		IDs:          ids,
@@ -230,8 +203,8 @@ func runSweep(ids []string, opts rtopex.ExperimentOptions, f sweepFlags) int {
 		return 1
 	}
 
-	// Render in deterministic (shard, replica) order regardless of which
-	// worker finished first.
+	// Render in deterministic (experiment, replica) order regardless of
+	// which worker finished first.
 	records := res.SortedRecords()
 	for _, r := range records {
 		if f.format != "csv" && r.Replica > 0 {

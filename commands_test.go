@@ -201,3 +201,33 @@ func TestFullBaselineGateIsExact(t *testing.T) {
 		}
 	}
 }
+
+// TestExpPrintsStoredTable pins that rtopex -exp and the sweep store share
+// one seed rule: `rtopex -exp fig6 -quick` prints exactly the table of the
+// quick store's fig6 record.
+func TestExpPrintsStoredTable(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "rtopex")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/rtopex").CombinedOutput(); err != nil {
+		t.Fatalf("go build ./cmd/rtopex: %v\n%s", err, out)
+	}
+	recs, err := ReadSweepStore("testdata/baselines/quick.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want string
+	for _, r := range recs {
+		if r.Experiment == "fig6" {
+			want = r.Table.String() + "\n"
+		}
+	}
+	if want == "" {
+		t.Fatal("quick store has no fig6 record")
+	}
+	got, err := exec.Command(bin, "-exp", "fig6", "-quick").Output()
+	if err != nil {
+		t.Fatalf("rtopex -exp fig6 -quick: %v", err)
+	}
+	if string(got) != want {
+		t.Fatalf("rtopex -exp fig6 -quick printed\n%s\nthe quick store's fig6 record holds\n%s", got, want)
+	}
+}

@@ -341,13 +341,12 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 		c.leases[ut.leaseID] = ut
 		w.leased++
 		c.cLeases.Inc()
-		c.logfSafe("fleet: lease %s: %s shard %d replica %d → %s (attempt %d)",
-			ut.leaseID, ut.unit.Spec.ID, ut.unit.Shard, ut.unit.Replica, req.Worker, ut.attempts)
+		c.logfSafe("fleet: lease %s: %s replica %d → %s (attempt %d)",
+			ut.leaseID, ut.unit.Spec.ID, ut.unit.Replica, req.Worker, ut.attempts)
 		return LeaseResponse{Status: StatusLease, Lease: &WireLease{
 			ID:            ut.leaseID,
 			Key:           ut.unit.Key,
 			Experiment:    ut.unit.Spec.ID,
-			Shard:         ut.unit.Shard,
 			Replica:       ut.unit.Replica,
 			Config:        ut.unit.Options.Resolve(),
 			TTLMillis:     c.ttl.Milliseconds(),
@@ -552,18 +551,11 @@ func (c *Coordinator) Summary() Summary {
 }
 
 // Records returns every artifact the sweep holds (reused plus completed),
-// in deterministic (shard, replica) order.
+// in deterministic (experiment, replica) order.
 func (c *Coordinator) Records() []*sweep.Record {
 	c.mu.Lock()
-	out := append([]*sweep.Record(nil), c.records...)
-	c.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Shard != out[j].Shard {
-			return out[i].Shard < out[j].Shard
-		}
-		return out[i].Replica < out[j].Replica
-	})
-	return out
+	defer c.mu.Unlock()
+	return sweep.SortRecords(c.records)
 }
 
 // Close flushes and closes the store. Further completions are rejected.
@@ -732,8 +724,8 @@ func (c *Coordinator) writeStatus(w http.ResponseWriter) {
 	for _, ut := range c.units {
 		switch ut.phase {
 		case phaseLeased:
-			leaseLines = append(leaseLines, fmt.Sprintf("  %-10s %-18s shard %-3d → %-20s expires in %s",
-				ut.leaseID, ut.unit.Spec.ID, ut.unit.Shard, ut.worker, ut.expiry.Sub(now).Truncate(time.Millisecond)))
+			leaseLines = append(leaseLines, fmt.Sprintf("  %-10s %-18s replica %-3d → %-20s expires in %s",
+				ut.leaseID, ut.unit.Spec.ID, ut.unit.Replica, ut.worker, ut.expiry.Sub(now).Truncate(time.Millisecond)))
 		case phaseFailed:
 			msg := ""
 			if ut.failure != nil {

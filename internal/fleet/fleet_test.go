@@ -72,7 +72,7 @@ func executeLease(t *testing.T, lease *WireLease) json.RawMessage {
 		t.Fatalf("lease for unknown experiment %q", lease.Experiment)
 	}
 	opts := lease.Config.Options()
-	u := sweep.Unit{Spec: spec, Shard: lease.Shard, Replica: lease.Replica, Options: opts, Key: sweep.Key(lease.Experiment, opts.Resolve())}
+	u := sweep.Unit{Spec: spec, Replica: lease.Replica, Options: opts, Key: sweep.Key(lease.Experiment, opts.Resolve())}
 	if u.Key != lease.Key {
 		t.Fatalf("key mismatch: lease %s, local %s", lease.Key, u.Key)
 	}

@@ -23,7 +23,11 @@ import (
 // as permanent): seeds, unit keys and artifact bytes must all be computed
 // by the same code on both sides, so a version-skewed worker must not be
 // allowed to contribute records.
-const ProtocolVersion = 1
+//
+// History: v1 leases carried the unit's registry position ("shard"), from
+// which seeds were derived; v2 leases carry none, since seeds derive from
+// the experiment id and replica alone.
+const ProtocolVersion = 2
 
 // Endpoint paths of the coordinator's HTTP surface.
 const (
@@ -57,7 +61,6 @@ type WireLease struct {
 	// refuses the lease on mismatch — the cheap cross-version guard.
 	Key        string                  `json:"key"`
 	Experiment string                  `json:"experiment"`
-	Shard      int                     `json:"shard"`
 	Replica    int                     `json:"replica,omitempty"`
 	Config     harness.ResolvedOptions `json:"config"`
 	// TTLMillis is the lease's time-to-live: a worker must heartbeat well

@@ -266,7 +266,6 @@ func (w *worker) unitFromLease(lease *WireLease) (sweep.Unit, error) {
 	}
 	return sweep.Unit{
 		Spec:    spec,
-		Shard:   lease.Shard,
 		Replica: lease.Replica,
 		Options: opts,
 		Key:     key,

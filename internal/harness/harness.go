@@ -225,8 +225,7 @@ type Spec struct {
 	Measured bool   `json:"measured,omitempty"`
 }
 
-// Specs lists the registry in sorted id order — the sweep engine's shard
-// order, so an experiment's shard index is its position in this list.
+// Specs lists the registry in sorted id order.
 func Specs() []Spec {
 	specs := make([]Spec, 0, len(registry))
 	for _, id := range IDs() {

@@ -8,7 +8,7 @@ import (
 )
 
 // sweepObs publishes the live progress of one sweep into a registry: the
-// shards-done/running/failed counters and worker-pool occupancy the ISSUE's
+// units-done/running/failed counters and worker-pool occupancy a
 // mid-sweep scrape shows, plus a per-unit wall-time histogram and each
 // finished table's summary gauges. All methods are no-ops on a nil
 // receiver, so the hot path stays branch-cheap when no registry is wired.

@@ -19,7 +19,8 @@ import (
 //
 // History: v1 is the original layout; v2 adds the optional embedded obs
 // snapshot. v1 records are still readable — a missing snapshot simply means
-// no obs gating.
+// no obs gating. Records written while seeds came from registry position
+// also carry a "shard" field, which readers ignore.
 const SchemaVersion = 2
 
 // readableSchemas are the record versions ReadStore accepts.
@@ -28,17 +29,16 @@ var readableSchemas = map[int]bool{1: true, 2: true}
 // Record is one artifact: the full table an experiment produced under one
 // resolved configuration, keyed by a content hash of that configuration.
 // Records are stored one-per-line as JSON (a JSON-lines store), so a sweep
-// can stream them out as shards finish and a killed sweep leaves a valid
+// can stream them out as units finish and a killed sweep leaves a valid
 // store behind.
 type Record struct {
 	Schema     int    `json:"schema"`
 	Key        string `json:"key"`
 	Experiment string `json:"experiment"`
-	// Shard is the experiment's position in the full sorted registry;
 	// Replica distinguishes repeated runs of the same experiment under
-	// different derived seeds. (Shard, Replica) determine Config.Seed via
-	// DeriveSeed, so they are stable across subset runs and resumes.
-	Shard   int                     `json:"shard"`
+	// different derived seeds. (root seed, Experiment, Replica) determine
+	// Config.Seed via DeriveSeed, so they are stable across subset runs and
+	// resumes.
 	Replica int                     `json:"replica,omitempty"`
 	Config  harness.ResolvedOptions `json:"config"`
 	// Measured marks wall-clock-dependent artifacts (see harness.Spec):

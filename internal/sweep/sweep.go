@@ -1,11 +1,11 @@
-// Package sweep is the experiment-sweep engine: it shards the harness
+// Package sweep is the experiment-sweep engine: it splits the harness
 // registry into (experiment × replica) units, runs them on a bounded
 // worker pool, and streams each finished table into a JSON-lines artifact
 // store keyed by a content hash of the unit's resolved configuration.
 //
 // Determinism is the core contract. Every unit derives its seed from a
-// stable hash of (root seed, experiment id, shard index), never from
-// worker identity or completion order, so a parallel sweep produces
+// stable hash of (root seed, experiment id, replica), never from registry
+// position, worker identity or completion order, so a parallel sweep produces
 // byte-identical artifact records to a serial one — the store differs only
 // in line order. That makes three things cheap:
 //
@@ -93,18 +93,18 @@ func (c Config) replicas() int {
 }
 
 // DeriveSeed computes a unit's seed from the sweep's root seed, the
-// experiment id and the unit's shard index. The hash (FNV-1a 64) is stable
+// experiment id and the replica index. The hash (FNV-1a 64) is stable
 // across processes, platforms and Go versions, and independent of worker
-// scheduling — the root of the parallel-equals-serial guarantee. A zero
-// result is mapped to 1 because harness.Options treats seed 0 as "use the
-// default".
-func DeriveSeed(root uint64, id string, shard int) uint64 {
+// scheduling and of which other experiments are registered — the root of
+// the parallel-equals-serial guarantee. A zero result is mapped to 1
+// because harness.Options treats seed 0 as "use the default".
+func DeriveSeed(root uint64, id string, replica int) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], root)
 	h.Write(b[:])
 	io.WriteString(h, id)
-	binary.LittleEndian.PutUint64(b[:], uint64(shard))
+	binary.LittleEndian.PutUint64(b[:], uint64(replica))
 	h.Write(b[:])
 	s := h.Sum64()
 	if s == 0 {
@@ -113,24 +113,20 @@ func DeriveSeed(root uint64, id string, shard int) uint64 {
 	return s
 }
 
-// Unit is one schedulable shard: one experiment under one resolved
+// Unit is one schedulable run: one experiment under one resolved
 // configuration.
 type Unit struct {
 	Spec    harness.Spec
-	Shard   int // position in the full sorted registry (stable across subsets)
 	Replica int
 	Options harness.Options
 	Key     string
 }
 
-// Units expands a config into its unit list, in deterministic (registry,
+// Units expands a config into its unit list, in deterministic (experiment,
 // replica) order. Unknown ids are an error.
 func Units(cfg Config) ([]Unit, error) {
-	specs := harness.Specs()
-	shardOf := make(map[string]int, len(specs))
-	specOf := make(map[string]harness.Spec, len(specs))
-	for i, s := range specs {
-		shardOf[s.ID] = i
+	specOf := map[string]harness.Spec{}
+	for _, s := range harness.Specs() {
 		specOf[s.ID] = s
 	}
 	ids := cfg.IDs
@@ -141,7 +137,6 @@ func Units(cfg Config) ([]Unit, error) {
 		sort.Strings(ids)
 	}
 	root := cfg.Options.Resolve().Seed
-	nShards := len(specs)
 	var units []Unit
 	for _, id := range ids {
 		spec, ok := specOf[id]
@@ -152,14 +147,10 @@ func Units(cfg Config) ([]Unit, error) {
 			continue
 		}
 		for rep := 0; rep < cfg.replicas(); rep++ {
-			// Replicas extend the shard index past the registry so every
-			// (experiment, replica) pair hashes to a distinct seed.
-			shard := shardOf[id] + rep*nShards
 			o := cfg.Options
-			o.Seed = DeriveSeed(root, id, shard)
+			o.Seed = DeriveSeed(root, id, rep)
 			units = append(units, Unit{
 				Spec:    spec,
-				Shard:   shard,
 				Replica: rep,
 				Options: o,
 				Key:     Key(id, o.Resolve()),
@@ -201,13 +192,18 @@ func (r *Result) Speedup() float64 {
 	return r.Busy.Seconds() / r.Wall.Seconds()
 }
 
-// SortedRecords returns the records in deterministic (shard, replica)
+// SortedRecords returns the records in deterministic (experiment, replica)
 // order, for rendering and for order-insensitive store comparison.
 func (r *Result) SortedRecords() []*Record {
-	out := append([]*Record(nil), r.Records...)
+	return SortRecords(r.Records)
+}
+
+// SortRecords returns a copy of recs in (experiment, replica) order.
+func SortRecords(recs []*Record) []*Record {
+	out := append([]*Record(nil), recs...)
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].Shard != out[j].Shard {
-			return out[i].Shard < out[j].Shard
+		if out[i].Experiment != out[j].Experiment {
+			return out[i].Experiment < out[j].Experiment
 		}
 		return out[i].Replica < out[j].Replica
 	})
@@ -393,7 +389,6 @@ func ExecuteUnit(u Unit, timeout time.Duration, runFn RunFunc) (*Record, *Failur
 			Schema:     SchemaVersion,
 			Key:        u.Key,
 			Experiment: u.Spec.ID,
-			Shard:      u.Shard,
 			Replica:    u.Replica,
 			Config:     u.Options.Resolve(),
 			Measured:   u.Spec.Measured,
@@ -405,7 +400,7 @@ func ExecuteUnit(u Unit, timeout time.Duration, runFn RunFunc) (*Record, *Failur
 	case <-timeoutC:
 		return nil, &Failure{
 			Unit:     u,
-			Err:      fmt.Sprintf("no result within %s (shard abandoned)", timeout),
+			Err:      fmt.Sprintf("no result within %s (unit abandoned)", timeout),
 			TimedOut: true,
 		}
 	}

@@ -36,13 +36,21 @@ func TestDeriveSeed(t *testing.T) {
 	}
 }
 
-// TestUnitsShardStability pins that a subset sweep derives the same seed
-// and key for an experiment as a full-registry sweep: the shard index is
-// the registry position, not the subset position.
+// TestUnitsShardStability pins the seed rule: every unit's seed is
+// DeriveSeed(root, experiment id, replica), whatever else is registered, so
+// a subset sweep derives the same seed and key for an experiment as a
+// full-registry sweep.
 func TestUnitsShardStability(t *testing.T) {
-	full, err := Units(Config{Options: tinyOptions})
+	full, err := Units(Config{Options: tinyOptions, Replicas: 2})
 	if err != nil {
 		t.Fatal(err)
+	}
+	root := tinyOptions.Resolve().Seed
+	for _, u := range full {
+		if want := DeriveSeed(root, u.Spec.ID, u.Replica); u.Options.Seed != want {
+			t.Fatalf("%s replica %d: seed %d, want DeriveSeed(root, id, replica) = %d",
+				u.Spec.ID, u.Replica, u.Options.Seed, want)
+		}
 	}
 	sub, err := Units(Config{Options: tinyOptions, IDs: []string{"fig15"}})
 	if err != nil {
@@ -53,14 +61,14 @@ func TestUnitsShardStability(t *testing.T) {
 	}
 	var fromFull *Unit
 	for i := range full {
-		if full[i].Spec.ID == "fig15" {
+		if full[i].Spec.ID == "fig15" && full[i].Replica == 0 {
 			fromFull = &full[i]
 		}
 	}
 	if fromFull == nil {
 		t.Fatal("fig15 missing from full unit list")
 	}
-	if sub[0].Key != fromFull.Key || sub[0].Options.Seed != fromFull.Options.Seed || sub[0].Shard != fromFull.Shard {
+	if sub[0].Key != fromFull.Key || sub[0].Options.Seed != fromFull.Options.Seed {
 		t.Fatalf("subset unit %+v != full-registry unit %+v", sub[0], *fromFull)
 	}
 	if _, err := Units(Config{IDs: []string{"no-such-experiment"}}); err == nil {

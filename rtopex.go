@@ -18,7 +18,8 @@
 //     discrete-event multicore, reporting deadline-miss metrics.
 //
 //   - The experiment harness: RunExperiment regenerates any table or
-//     figure of the paper's evaluation by id (see Experiments).
+//     figure of the paper's evaluation by id (see ExperimentSpecs), and
+//     RunSweep runs many of them under derived seeds.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-vs-reproduction comparison of every experiment.
@@ -175,19 +176,17 @@ type (
 	ExperimentOptions = harness.Options
 )
 
-// Experiments lists the runnable experiment ids (fig1..fig19, table1,
-// ablation-*).
-func Experiments() []string { return harness.IDs() }
-
-// RunExperiment regenerates one table or figure of the paper.
+// RunExperiment regenerates one table or figure of the paper under o.Seed
+// as given. RunSweep, which cmd/rtopex and the checked-in stores use,
+// instead runs each experiment under a seed derived from o.Seed.
 func RunExperiment(id string, o ExperimentOptions) (*ExperimentTable, error) {
 	return harness.Run(id, o)
 }
 
-// Sweep orchestration: run the registry on a worker pool with deterministic
-// per-shard seeds, stream artifacts to a JSON-lines store, and gate fresh
-// results against checked-in baselines. See internal/sweep for the
-// determinism contract.
+// Sweep orchestration: run the registry on a worker pool, each experiment
+// under a seed derived from the root seed, its id and its replica; stream
+// artifacts to a JSON-lines store, and gate fresh results against
+// checked-in baselines. See internal/sweep for the determinism contract.
 type (
 	// ExperimentSpec describes one registered experiment.
 	ExperimentSpec = harness.Spec
@@ -203,7 +202,7 @@ type (
 	SweepDrift = sweep.Drift
 )
 
-// ExperimentSpecs lists the registry in the sweep engine's shard order.
+// ExperimentSpecs lists the registry in id order.
 func ExperimentSpecs() []ExperimentSpec { return harness.Specs() }
 
 // RunSweep executes a sweep.
@@ -277,10 +276,4 @@ func NewObsRegistry() *ObsRegistry { return obs.NewRegistry() }
 // on addr (e.g. ":6060"); it returns the bound address and a stop func.
 func ServeObs(addr string, reg *ObsRegistry) (boundAddr string, stop func(), err error) {
 	return obs.Serve(addr, reg)
-}
-
-// PublishExperimentTable exposes a finished table's summary gauges
-// (per-column means, miss rates) on a live registry.
-func PublishExperimentTable(reg *ObsRegistry, tb *ExperimentTable) {
-	harness.PublishTable(reg, tb)
 }

@@ -70,9 +70,9 @@ func TestPublicSimulation(t *testing.T) {
 }
 
 func TestPublicExperiments(t *testing.T) {
-	ids := Experiments()
-	if len(ids) < 15 {
-		t.Fatalf("only %d experiments registered", len(ids))
+	specs := ExperimentSpecs()
+	if len(specs) < 15 {
+		t.Fatalf("only %d experiments registered", len(specs))
 	}
 	tb, err := RunExperiment("fig3a", ExperimentOptions{Quick: true})
 	if err != nil {

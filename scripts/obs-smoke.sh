@@ -5,8 +5,8 @@
 # Two collectors are started. Collector A receives pushes from TWO worker
 # processes that split the deterministic experiment registry between them;
 # collector B receives pushes from ONE process running the whole registry.
-# Because per-experiment seeds derive from the experiment's position in the
-# full registry (not from which process runs it), and registry merge is
+# Because per-experiment seeds derive from the experiment's id and replica
+# (not from which process runs it), and registry merge is
 # exact for counters and histogram buckets, the two merged /metrics
 # expositions must be byte-identical once wall-clock series (the per-unit
 # wall-time histogram) are filtered out.
