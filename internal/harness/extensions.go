@@ -152,50 +152,3 @@ func extTransport(o Options) (*Table, error) {
 		fmt.Sprintf("cloud segment: %s", "10 GbE, Fig. 6 calibration"))
 	return t, nil
 }
-
-func init() {
-	register("ext-duplex", "Full-duplex node: uplink decoding + downlink encoding on the same cores", extDuplex)
-}
-
-// extDuplex adds the Fig. 8 timeline's Tx-processing jobs: every downlink
-// subframe must be encoded in the 1 ms before its transmission, on the
-// same partitioned cores that decode the uplink. The downlink load eats
-// into the idle gaps RT-OPEX harvests.
-func extDuplex(o Options) (*Table, error) {
-	t := &Table{ID: "ext-duplex", Title: "Uplink misses with and without downlink co-processing (RTT/2 = 550 µs)",
-		Columns: []string{"workload", "partitioned", "rt-opex", "rt-opex_decode_migrated", "tx_miss(rt-opex)"},
-		Kinds:   []Kind{Plain, Rate, Rate, Plain, Rate}}
-	for _, duplex := range []bool{false, true} {
-		cfg := sched.WorkloadConfig{
-			Basestations: 4, Subframes: o.subframes(), Antennas: 2,
-			Bandwidth: lte.BW10MHz, SNRdB: 30, Lm: 4,
-			Params: model.PaperGPP, Jitter: model.DefaultJitter,
-			IterLaw:  model.DefaultIterationLaw,
-			Profiles: trace.DefaultProfiles, FixedMCS: -1,
-			Transport: transport.FixedPath{OneWay: 550}, ExpectedRTT2US: 550,
-			Seed:            o.seed() + 23,
-			IncludeDownlink: duplex,
-		}
-		w, err := sched.BuildWorkload(cfg)
-		if err != nil {
-			return nil, err
-		}
-		p, err := sched.Run(w, sched.NewPartitioned(2), 8)
-		if err != nil {
-			return nil, err
-		}
-		r, err := sched.Run(w, sched.NewRTOPEX(2), 8)
-		if err != nil {
-			return nil, err
-		}
-		name := "uplink only"
-		if duplex {
-			name = "uplink + downlink"
-		}
-		t.AddRow(name, p.MissRate(), r.MissRate(), r.MigratedDecodeFraction(), r.TxMissRate())
-	}
-	t.Notes = append(t.Notes,
-		"downlink encoding (modeled at 0.4× the single-iteration uplink cost) occupies the partitioned gaps, raising uplink misses for every scheduler and shrinking RT-OPEX's migration windows — yet the ordering is preserved",
-		"RT-OPEX's preemption/recovery machinery also fires here: hosted batches are preempted by the host core's own downlink jobs, which its window predictor does not model")
-	return t, nil
-}

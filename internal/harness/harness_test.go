@@ -18,7 +18,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig4", "fig6", "fig7", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19",
 		"ablation-alg1", "ablation-delta", "ablation-granularity", "ablation-cache",
 		"ablation-dispatch", "ablation-task-migration",
-		"ext-parallel", "ext-hetero", "ext-transport", "ext-pooling", "ext-duplex",
+		"ext-parallel", "ext-hetero", "ext-transport", "ext-pooling",
 	}
 	have := map[string]bool{}
 	for _, id := range IDs() {
@@ -51,7 +51,6 @@ var missColumns = map[string][]string{
 	"ablation-dispatch":       {"miss_rate"},
 	"ablation-granularity":    {"both", "decode-only", "fft-only", "none(=partitioned)"},
 	"ablation-task-migration": {"partitioned", "rt-opex"},
-	"ext-duplex":              {"partitioned", "rt-opex", "tx_miss(rt-opex)"},
 	"ext-hetero":              {"miss_total", "miss_bs1(macro)", "miss_bs3(small)"},
 	"ext-parallel":            {"rt-opex(8c)", "static-2(8c)", "static-4(16c)", "partitioned(8c)"},
 	"ext-transport":           {"partitioned", "rt-opex"},
@@ -333,28 +332,6 @@ func TestExtPoolingSavings(t *testing.T) {
 	last := parseCell(t, tb, len(tb.Rows)-1, "savings")
 	if last <= first {
 		t.Errorf("pooling savings did not grow: %v -> %v", first, last)
-	}
-}
-
-func TestExtDuplexOrderingPreserved(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow")
-	}
-	tb, err := Run("ext-duplex", Options{Subframes: 6000, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range tb.Rows {
-		part := parseCell(t, tb, i, "partitioned")
-		rt := parseCell(t, tb, i, "rt-opex")
-		if rt >= part {
-			t.Errorf("row %d: RT-OPEX (%v) not below partitioned (%v)", i, rt, part)
-		}
-	}
-	// Duplex load must not reduce RT-OPEX's migration supply to zero.
-	mig := parseCell(t, tb, 1, "rt-opex_decode_migrated")
-	if mig <= 0.05 {
-		t.Errorf("duplex decode migration collapsed to %v", mig)
 	}
 }
 

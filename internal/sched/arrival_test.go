@@ -28,21 +28,19 @@ func stableArrivalOrder(w *Workload) []*Job {
 }
 
 // TestArrivalLaneIsStableSort: the arrival lane equals a stable sort of
-// the basestation-major concatenation by Arrival, in the three shapes that
-// stress the merge — downlink runs after each basestation's uplink run, a
-// transport wide enough to reorder one basestation's own arrivals, and
-// arrivals that tie across basestations.
+// the basestation-major concatenation by Arrival, in the two shapes that
+// stress the merge — a transport wide enough to reorder one basestation's
+// own arrivals, and arrivals that tie across basestations.
 func TestArrivalLaneIsStableSort(t *testing.T) {
-	cfg := func(tr transport.Sampler, downlink bool) WorkloadConfig {
+	cfg := func(tr transport.Sampler) WorkloadConfig {
 		return WorkloadConfig{
 			Basestations: 4, Subframes: 300, Antennas: 2, Bandwidth: lte.BW10MHz,
 			SNRdB: 30, Lm: 4,
 			Params: model.PaperGPP, Jitter: model.DefaultJitter, IterLaw: model.DefaultIterationLaw,
 			Profiles: trace.DefaultProfiles, FixedMCS: -1,
-			IncludeDownlink: downlink,
-			Transport:       tr,
-			ExpectedRTT2US:  550,
-			Seed:            9,
+			Transport:      tr,
+			ExpectedRTT2US: 550,
+			Seed:           9,
 		}
 	}
 	cases := []struct {
@@ -50,10 +48,7 @@ func TestArrivalLaneIsStableSort(t *testing.T) {
 		cfg   WorkloadConfig
 		teeth func(w *Workload) bool // the case exercises what it names
 	}{
-		{"downlink", cfg(jitteryTransport{mean: 550, spread: 120}, true), func(w *Workload) bool {
-			return w.Jobs[0][len(w.Jobs[0])-1].Tx
-		}},
-		{"wide-spread", cfg(jitteryTransport{mean: 1500, spread: 1400}, false), func(w *Workload) bool {
+		{"wide-spread", cfg(jitteryTransport{mean: 1500, spread: 1400}), func(w *Workload) bool {
 			for _, jobs := range w.Jobs {
 				for j := 1; j < len(jobs); j++ {
 					if jobs[j].Arrival < jobs[j-1].Arrival {
@@ -63,7 +58,7 @@ func TestArrivalLaneIsStableSort(t *testing.T) {
 			}
 			return false
 		}},
-		{"cross-bs-ties", cfg(transport.FixedPath{OneWay: 550}, true), func(w *Workload) bool {
+		{"cross-bs-ties", cfg(transport.FixedPath{OneWay: 550}), func(w *Workload) bool {
 			return w.Jobs[0][3].Arrival == w.Jobs[1][3].Arrival
 		}},
 	}

@@ -49,8 +49,7 @@ type Metrics struct {
 	// late-completion distribution, kept separate from Gaps (which would
 	// otherwise need zero-clamping; see the ROADMAP note). Schedulers that
 	// terminate late jobs exactly at the deadline (global) record a zero
-	// overshoot. Drops record nothing (they never finish) and downlink (Tx)
-	// jobs are excluded, as with Gaps.
+	// overshoot. Drops record nothing (they never finish).
 	Overruns []float64
 
 	// ProcTimes are realized processing durations (start → completion) of
@@ -71,18 +70,11 @@ type Metrics struct {
 	Preemptions            int // migrated batches preempted by the host core's own job
 	Recoveries             int // batches whose results were recomputed locally
 
-	// Downlink (Tx-processing) jobs, tallied separately from the uplink
-	// deadline-miss metric.
+	// TxJobs and TxMisses are always zero: workloads hold uplink jobs
+	// only. They remain because the benchmark's pass digest (bench/sim.go)
+	// reads them; delete them with that reader.
 	TxJobs   int
 	TxMisses int
-}
-
-// TxMissRate is the downlink-encoding deadline-miss fraction.
-func (m *Metrics) TxMissRate() float64 {
-	if m.TxJobs == 0 {
-		return 0
-	}
-	return float64(m.TxMisses) / float64(m.TxJobs)
 }
 
 // NewMetrics creates metrics for nBS basestations.
@@ -92,16 +84,8 @@ func NewMetrics(scheduler string, nBS int) *Metrics {
 
 // Record books one job outcome. procTime is the realized processing
 // duration for jobs that ran to completion (ACK/Late/DecodeFail); pass a
-// negative value for drops. Downlink (Tx) jobs are tallied separately so
-// the headline deadline-miss rate remains the paper's uplink metric.
+// negative value for drops.
 func (m *Metrics) Record(j *Job, o Outcome, procTime float64) {
-	if j.Tx {
-		m.TxJobs++
-		if o == OutcomeDropped || o == OutcomeLate {
-			m.TxMisses++
-		}
-		return
-	}
 	b := &m.PerBS[j.BS]
 	b.Jobs++
 	switch o {
@@ -123,12 +107,8 @@ func (m *Metrics) Record(j *Job, o Outcome, procTime float64) {
 // DecodeFail completions record their unused budget Deadline − finish into
 // Gaps — the usable migration window of Fig. 16. Late completions record
 // their overshoot finish − Deadline into Overruns. Drops record nothing
-// (no finish exists), and downlink (Tx) jobs are excluded: both series are
-// uplink metrics.
+// (no finish exists).
 func (m *Metrics) RecordGap(j *Job, o Outcome, finish float64) {
-	if j.Tx {
-		return
-	}
 	switch o {
 	case OutcomeACK, OutcomeDecodeFail:
 		m.Gaps = append(m.Gaps, j.Deadline-finish)

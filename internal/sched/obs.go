@@ -22,10 +22,6 @@ func PublishMetrics(reg *obs.Registry, m *Metrics) {
 	reg.Counter("rtopex_dropped_total", l).Add(int64(m.totalDropped()))
 	reg.Counter("rtopex_late_total", l).Add(int64(m.totalLate()))
 	reg.Counter("rtopex_decode_fail_total", l).Add(int64(m.totalDecodeFail()))
-	if m.TxJobs > 0 {
-		reg.Counter("rtopex_tx_jobs_total", l).Add(int64(m.TxJobs))
-		reg.Counter("rtopex_tx_misses_total", l).Add(int64(m.TxMisses))
-	}
 
 	reg.SetHelp("rtopex_gap_us", "Unused budget (deadline − finish) per completed subframe.")
 	reg.SetHelp("rtopex_overrun_us", "Overshoot (finish − deadline) per late subframe.")

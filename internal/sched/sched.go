@@ -35,12 +35,6 @@ type Job struct {
 	BS    int // basestation id
 	Index int // subframe index j
 
-	// Tx marks a downlink (transmit-processing) job: per the paper's
-	// Fig. 8 timeline it is released 1 ms before its over-the-air
-	// transmission, is serial (no parallelizable subtasks), and competes
-	// for the same cores as the uplink decoding jobs.
-	Tx bool
-
 	MCS       int
 	L         int  // turbo iterations the decode will take (≤ Lm)
 	Decodable bool // whether the CRC would pass after L iterations
@@ -81,15 +75,6 @@ type WorkloadConfig struct {
 	// heterogeneous-deployment scenario of §5.D (e.g. a cellular-IoT cell
 	// next to a macro cell). Entries of 0 fall back to Antennas.
 	PerBSAntennas []int
-
-	// IncludeDownlink adds the Tx-processing jobs of the Fig. 8 timeline:
-	// each downlink subframe must be encoded in the 1 ms before its
-	// transmission, on the same partitioned cores. TxScale sets the
-	// downlink encoding cost as a fraction of the single-iteration uplink
-	// model prediction (default 0.4 — the paper notes downlink processing
-	// is significantly cheaper and less variable than uplink).
-	IncludeDownlink bool
-	TxScale         float64
 
 	Transport transport.Sampler
 	// ExpectedRTT2US is the transport latency the schedulers assume when
@@ -173,11 +158,10 @@ func (w *Workload) arrivalLane() ([]*Job, []float64) {
 // Arrival as a natural merge sort: the concatenation splits into runs of
 // nondecreasing arrivals wherever an arrival decreases, and adjacent runs
 // merge pairwise, the left run first on ties, until one is left. Each
-// basestation's uplink jobs form one run, and with IncludeDownlink its
-// downlink jobs another, so a simulator workload costs a merge of a few
-// runs rather than a sort; a transport wide enough to reorder a
-// basestation's arrivals splits its run further, and the merge then does
-// the work of a sort.
+// basestation's jobs form one run, so a simulator workload costs a merge
+// of one run per basestation rather than a sort; a transport wide enough
+// to reorder a basestation's arrivals splits its run further, and the
+// merge then does the work of a sort.
 func arrivalOrder(jobs [][]Job) []*Job {
 	n := 0
 	for _, bs := range jobs {
@@ -285,57 +269,9 @@ func BuildWorkload(cfg WorkloadConfig) (*Workload, error) {
 				JitterUS:        cfg.Jitter.Sample(bsRNG),
 			}
 		}
-		if cfg.IncludeDownlink {
-			jobs = append(jobs, buildTxJobs(cfg, bs, ants, bsRNG)...)
-		}
 		w.Jobs[bs] = jobs
 	}
 	return w, nil
-}
-
-// buildTxJobs creates the downlink encoding jobs of one basestation:
-// subframe j's encoding runs in [ (j-1)·1 ms, j·1 ms ] and must finish by
-// the transmission instant. Downlink load follows its own trace.
-func buildTxJobs(cfg WorkloadConfig, bs, ants int, rng *stats.RNG) []Job {
-	scale := cfg.TxScale
-	if scale <= 0 {
-		scale = 0.4
-	}
-	var loads trace.Trace
-	if cfg.FixedMCS < 0 {
-		loads = trace.NewGenerator(cfg.Profiles[bs], rng.Uint64()).Generate(cfg.Subframes)
-	}
-	var jobs []Job
-	for j := 1; j < cfg.Subframes; j++ {
-		mcs := cfg.FixedMCS
-		if mcs < 0 {
-			mcs = trace.MCS(loads[j])
-		}
-		info, err := lte.MCSTable(mcs)
-		if err != nil {
-			continue
-		}
-		d, err := lte.SubcarrierLoad(mcs, cfg.Bandwidth)
-		if err != nil {
-			continue
-		}
-		txTime := scale * cfg.Params.Predict(ants, info.Scheme.Order(), d, 1)
-		txAt := float64(j) * lte.SubframeDurationUS
-		jobs = append(jobs, Job{
-			BS: bs, Index: j, Tx: true,
-			MCS: mcs, L: 1, Decodable: true,
-			Gen:     txAt - lte.SubframeDurationUS,
-			Arrival: txAt - lte.SubframeDurationUS,
-			// The deadline is the transmission instant itself.
-			Deadline: txAt,
-			Tasks:    model.TaskTimes{Demod: txTime},
-			// Serial: a single unit per task, so no migration applies.
-			FFTSubtasks: 1, FFTSubtaskUS: 0,
-			DecodeSubtasks: 1, DecodeSubtaskUS: 0,
-			JitterUS: cfg.Jitter.Sample(rng),
-		})
-	}
-	return jobs
 }
 
 // codeBlocks mirrors TS 36.212 segmentation arithmetic without building the
@@ -467,11 +403,7 @@ func RunConfigured(w *Workload, s Scheduler, rc RunConfig) (*Metrics, error) {
 	eng.AtSorted(at, func(i int) {
 		job := arrivals[i]
 		if env.Trace != nil {
-			detail := ""
-			if job.Tx {
-				detail = "tx"
-			}
-			env.emit(-1, job, trace.EvArrive, detail)
+			env.emit(-1, job, trace.EvArrive, "")
 		}
 		s.OnArrival(job)
 	})

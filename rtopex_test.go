@@ -105,27 +105,3 @@ func TestPublicComparators(t *testing.T) {
 		t.Fatalf("%s: jobs %d", m.Scheduler, m.Jobs())
 	}
 }
-
-func TestPublicDuplexWorkload(t *testing.T) {
-	w, err := BuildWorkload(WorkloadConfig{
-		Basestations: 2, Subframes: 1000, Antennas: 2, Bandwidth: BW10MHz,
-		SNRdB: 30, Lm: 4,
-		Params: PaperGPP, Jitter: DefaultJitter, IterLaw: DefaultIterationLaw,
-		Profiles: DefaultTraceProfiles, FixedMCS: -1,
-		Transport: FixedTransport{OneWay: 500}, ExpectedRTT2US: 500, Seed: 13,
-		IncludeDownlink: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := Simulate(w, NewRTOPEX(2), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.TxJobs == 0 {
-		t.Fatal("no downlink jobs through the public API")
-	}
-	if m.TxMissRate() < 0 || m.TxMissRate() > 1 {
-		t.Fatal("nonsensical tx miss rate")
-	}
-}
