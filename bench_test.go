@@ -12,6 +12,7 @@ import (
 
 	"rtopex/internal/bits"
 	"rtopex/internal/channel"
+	"rtopex/internal/harness"
 	"rtopex/internal/phy"
 	"rtopex/internal/stats"
 )
@@ -24,7 +25,7 @@ func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tb, err := RunExperiment(id, benchOpts)
+		tb, err := harness.Run(id, benchOpts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -140,7 +140,7 @@ func ReadStore(path string) ([]*Record, error) {
 	defer f.Close()
 	var recs []*Record
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(nil, 1<<24) // grows as lines need, up to 16 MiB
 	line := 0
 	var pendingErr error
 	for sc.Scan() {

@@ -17,9 +17,9 @@
 //     and Simulate runs it under any Scheduler on a deterministic
 //     discrete-event multicore, reporting deadline-miss metrics.
 //
-//   - The experiment harness: RunExperiment regenerates any table or
-//     figure of the paper's evaluation by id (see ExperimentSpecs), and
-//     RunSweep runs many of them under derived seeds.
+//   - The experiment harness: RunSweep regenerates any tables or figures
+//     of the paper's evaluation by id (see ExperimentSpecs), each under a
+//     seed derived from the root seed, its id and its replica.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-vs-reproduction comparison of every experiment.
@@ -175,13 +175,6 @@ type (
 	// ExperimentOptions scale an experiment run.
 	ExperimentOptions = harness.Options
 )
-
-// RunExperiment regenerates one table or figure of the paper under o.Seed
-// as given. RunSweep, which cmd/rtopex and the checked-in stores use,
-// instead runs each experiment under a seed derived from o.Seed.
-func RunExperiment(id string, o ExperimentOptions) (*ExperimentTable, error) {
-	return harness.Run(id, o)
-}
 
 // Sweep orchestration: run the registry on a worker pool, each experiment
 // under a seed derived from the root seed, its id and its replica; stream

@@ -74,14 +74,14 @@ func TestPublicExperiments(t *testing.T) {
 	if len(specs) < 15 {
 		t.Fatalf("only %d experiments registered", len(specs))
 	}
-	tb, err := RunExperiment("fig3a", ExperimentOptions{Quick: true})
+	res, err := RunSweep(SweepConfig{IDs: []string{"fig3a"}, Options: ExperimentOptions{Quick: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tb.Rows) != 28 {
-		t.Fatalf("fig3a rows = %d", len(tb.Rows))
+	if len(res.Records) != 1 || len(res.Records[0].Table.Rows) != 28 {
+		t.Fatalf("fig3a: %d records, want one of 28 rows", len(res.Records))
 	}
-	if _, err := RunExperiment("missing", ExperimentOptions{}); err == nil {
+	if _, err := RunSweep(SweepConfig{IDs: []string{"missing"}}); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
