@@ -24,9 +24,8 @@ import (
 // by the same code on both sides, so a version-skewed worker must not be
 // allowed to contribute records.
 //
-// History: v1 leases carried the unit's registry position ("shard"), from
-// which seeds were derived; v2 leases carry none, since seeds derive from
-// the experiment id and replica alone.
+// v2 leases no longer carry the registry position ("shard") that v1 seeds
+// were derived from.
 const ProtocolVersion = 2
 
 // Endpoint paths of the coordinator's HTTP surface.
